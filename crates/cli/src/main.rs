@@ -22,8 +22,6 @@ use std::sync::Arc;
 
 use args::{Command, ObsArgs, USAGE};
 use privim_core::config::PrivImConfig;
-use privim_core::pipeline::run_method;
-use privim_core::train::{NoiseKind, PrivacySetup};
 use privim_datasets::split::NodeSplit;
 use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
 use privim_graph::{io, Graph};
@@ -194,35 +192,34 @@ fn run(command: Command) -> Result<(), String> {
                 learning_rate: 0.02,
                 ..PrivImConfig::default()
             };
-            if a.resume.is_some() || a.checkpoint_dir.is_some() {
-                return train_crash_safe(&g, &a, &config, &split.train, provenance);
-            }
-            let result = privim_core::pipeline::run_method_with_candidates(
-                &g,
-                a.method,
-                &config,
-                &split.train,
-                a.seed,
-            );
-            console(format!(
-                "{}: spread {:.0} over {} nodes | container {} subgraphs | sigma {}",
-                a.method.name(),
-                result.spread,
-                g.num_nodes(),
-                result.container_size,
-                result
-                    .sigma
-                    .map_or("- (non-private)".to_string(), |s| format!("{s:.3}")),
-            ));
-            console(format!("seeds: {:?}", result.seeds));
-            if let Some(path) = a.checkpoint.clone() {
-                // run_method trains internally but does not expose the
-                // model; retrain deterministically here to capture one.
-                let cp = train_for_checkpoint(&g, &a, &config)?;
-                cp.save(&path).map_err(|e| e.to_string())?;
+            let model = if a.resume.is_some() || a.checkpoint_dir.is_some() {
+                train_crash_safe(&g, &a, &config, &split.train, provenance)?
+            } else {
+                let result = privim_core::pipeline::run_method_with_candidates(
+                    &g,
+                    a.method,
+                    &config,
+                    &split.train,
+                    a.seed,
+                );
+                console(format!(
+                    "{}: spread {:.0} over {} nodes | container {} subgraphs | sigma {}",
+                    a.method.name(),
+                    result.spread,
+                    g.num_nodes(),
+                    result.container_size,
+                    result
+                        .sigma
+                        .map_or("- (non-private)".to_string(), |s| format!("{s:.3}")),
+                ));
+                console(format!("seeds: {:?}", result.seeds));
+                result.model
+            };
+            // The released model: the one whose seeds were just printed.
+            if let Some(path) = &a.checkpoint {
+                model.save(path).map_err(|e| e.to_string())?;
                 console(format!("checkpoint written to {path}"));
             }
-            let _ = run_method; // `run_method_with_candidates` covers it
             Ok(())
         }
         Command::Select(a) => {
@@ -701,20 +698,20 @@ fn chaos(a: &args::ChaosArgs) -> Result<(), String> {
 /// Crash-safe `train` variant behind `--checkpoint-dir` / `--resume`:
 /// atomic checkpoint generations every `--checkpoint-every` epochs, exact
 /// ledger-verified resume from the newest valid generation, and seed
-/// selection from the finished model. `--resume` additionally refuses to
-/// start when the directory holds no valid generation — silently
-/// retraining from scratch would spend privacy budget the caller thinks
-/// was already spent.
+/// selection from the finished model, which it returns. `--resume`
+/// additionally refuses to start when the directory holds no valid
+/// generation — silently retraining from scratch would spend privacy
+/// budget the caller thinks was already spent.
 fn train_crash_safe(
     g: &Graph,
     a: &args::TrainArgs,
     config: &PrivImConfig,
     candidates: &[u32],
     provenance: privim_core::checkpoint::SplitProvenance,
-) -> Result<(), String> {
+) -> Result<Checkpoint, String> {
     use privim_core::checkpoint::CheckpointStore;
+    use privim_core::pipeline::{calibrate_for, extract_for};
     use privim_core::resume::{train_resumable, ResumeOptions};
-    use privim_core::sampling::extract_dual_stage;
 
     let (dir, must_resume) = match (&a.resume, &a.checkpoint_dir) {
         (Some(d), _) => (d.clone(), true),
@@ -735,22 +732,21 @@ fn train_crash_safe(
     }
 
     // Extraction is deterministic in (graph, seed), so every resume sees
-    // the same container the original invocation trained on.
+    // the same container the original invocation trained on. The method
+    // picks container, N_g and noise exactly as in the pipeline; only δ
+    // differs, 1/(|V|+1) here, which keeps existing stores' σ unchanged.
     let mut rng = StdRng::seed_from_u64(a.seed);
-    let out = extract_dual_stage(g, config, candidates, &mut rng);
-    if out.container.is_empty() {
+    let (container, occurrence_bound) = extract_for(a.method, g, config, candidates, &mut rng);
+    if container.is_empty() {
         return Err("extraction produced no subgraphs; lower the subgraph size".into());
     }
-    let privacy = a.epsilon.map(|eps| {
-        PrivacySetup::calibrate(
-            eps,
-            config.effective_delta(g.num_nodes()),
-            config,
-            out.container.len(),
-            config.freq_threshold,
-            NoiseKind::Gaussian,
-        )
-    });
+    let privacy = calibrate_for(
+        a.method,
+        config,
+        &container,
+        occurrence_bound,
+        config.effective_delta(g.num_nodes()),
+    );
     // Arm the watchdog over the guard's projected-spend feed so the
     // budget shows up as a `privim_alert_active{rule="epsilon_budget"}`
     // series in `--metrics-out` exports and the HTML report. The rule
@@ -767,7 +763,7 @@ fn train_crash_safe(
     }
     let outcome = train_resumable(
         a.method.model_kind(config.model),
-        &out.container,
+        &container,
         config,
         privacy.as_ref(),
         a.seed,
@@ -810,7 +806,7 @@ fn train_crash_safe(
         "{}: trained {} epochs over {} subgraphs | epsilon spent {}",
         a.method.name(),
         outcome.report.losses.len(),
-        out.container.len(),
+        container.len(),
         outcome
             .final_epsilon
             .map_or("- (non-private)".to_string(), |e| format!("{e:.4}")),
@@ -819,64 +815,8 @@ fn train_crash_safe(
     let scores = outcome.model.seed_probabilities(&gt);
     let seeds = top_k_seeds(&scores, config.seed_size);
     console(format!("seeds: {seeds:?}"));
-    if let Some(path) = &a.checkpoint {
-        let cp = Checkpoint::capture(
-            outcome.model.as_ref(),
-            config.feature_dim,
-            config.hidden,
-            config.hops,
-        );
-        cp.save(path).map_err(|e| e.to_string())?;
-        console(format!("checkpoint written to {path}"));
-    }
-    Ok(())
-}
-
-/// Trains a standalone model (same settings as the pipeline) so the
-/// checkpoint matches what `train` reported.
-fn train_for_checkpoint(
-    g: &Graph,
-    a: &args::TrainArgs,
-    config: &PrivImConfig,
-) -> Result<Checkpoint, String> {
-    use privim_core::sampling::extract_dual_stage;
-    use privim_core::train::train;
-    use privim_nn::models::build_model;
-
-    let mut rng = StdRng::seed_from_u64(a.seed);
-    let candidates: Vec<u32> = g.nodes().collect();
-    let out = extract_dual_stage(g, config, &candidates, &mut rng);
-    if out.container.is_empty() {
-        return Err("extraction produced no subgraphs; lower the subgraph size".into());
-    }
-    let kind = a.method.model_kind(config.model);
-    let mut model = build_model(
-        kind,
-        config.feature_dim,
-        config.hidden,
-        config.hops,
-        &mut rng,
-    );
-    let privacy = a.epsilon.map(|eps| {
-        PrivacySetup::calibrate(
-            eps,
-            config.effective_delta(g.num_nodes()),
-            config,
-            out.container.len(),
-            config.freq_threshold,
-            NoiseKind::Gaussian,
-        )
-    });
-    train(
-        model.as_mut(),
-        &out.container,
-        config,
-        privacy.as_ref(),
-        &mut rng,
-    )
-    .map_err(|e| format!("training aborted: {e}"))?;
     Ok(Checkpoint::capture(
-        model.as_ref(),
+        outcome.model.as_ref(),
         config.feature_dim,
         config.hidden,
         config.hops,

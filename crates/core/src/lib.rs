@@ -8,14 +8,15 @@
 //!   (dual-stage adaptive frequency sampling: SCS + BES).
 //! - [`loss`] — the Eq. 5 probabilistic penalty loss.
 //! - [`train`] — Algorithm 2 DP-SGD with per-subgraph clipping, Gaussian or
-//!   SML noise, and σ calibration via the Theorem 3 accountant.
+//!   SML noise, and σ calibration via the Theorem 3 accountant; its one
+//!   epoch loop serves both training entry points.
 //! - [`indicator`] — the Gamma-pdf parameter-selection indicator
 //!   (Eqs. 10–12, Appendix H fitting).
 //! - [`pipeline`] — end-to-end runs of PrivIM, PrivIM+SCS, PrivIM*, EGN,
 //!   HP, HP-GRAT and the non-private reference.
 //! - [`checkpoint`] — atomic, CRC-verified training checkpoints with
 //!   generation retention.
-//! - [`resume`] — the crash-safe training loop: kill it anywhere, resume
+//! - [`resume`] — crash-safe training: kill it anywhere, resume
 //!   from the last durable generation, and get bit-identical final
 //!   weights and an exactly re-verified ε schedule.
 //!

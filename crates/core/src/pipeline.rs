@@ -25,13 +25,14 @@ use privim_im::models::DiffusionConfig;
 use privim_im::spread::influence_spread;
 use privim_nn::graph_tensors::GraphTensors;
 use privim_nn::models::{build_model, ModelKind};
+use privim_nn::serialize::Checkpoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::PrivImConfig;
 use crate::container::{SubgraphContainer, SubgraphSample};
 use crate::sampling::{extract_dual_stage, extract_naive, extract_unconstrained, freq_sampling};
-use crate::train::{train, NoiseKind, PrivacySetup};
+use crate::train::{train, NoiseKind, PrivacySetup, TrainReport};
 
 /// One of the evaluated methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,6 +117,9 @@ pub struct PipelineResult {
     pub sigma: Option<f64>,
     /// Final training loss.
     pub final_loss: f64,
+    /// The trained model the seeds were selected with: the one model
+    /// this run releases.
+    pub model: Checkpoint,
 }
 
 /// Runs `method` on `g` with `config`, deterministically from `seed`.
@@ -158,24 +162,7 @@ pub fn run_method_with_candidates(
     // --- Phase 2: privacy calibration ------------------------------------
     let delta = config.effective_delta(candidates.len());
     let calibration_span = privim_obs::span!("calibration");
-    let privacy = match (method, config.epsilon) {
-        _ if container.is_empty() => None,
-        (Method::NonPrivate, _) | (_, None) => None,
-        (_, Some(eps)) => {
-            let noise = match method {
-                Method::Hp | Method::HpGrat => NoiseKind::SymmetricLaplace,
-                _ => NoiseKind::Gaussian,
-            };
-            Some(PrivacySetup::calibrate(
-                eps,
-                delta,
-                config,
-                container.len(),
-                occurrence_bound,
-                noise,
-            ))
-        }
-    };
+    let privacy = calibrate_for(method, config, &container, occurrence_bound, delta);
     calibration_span.finish();
 
     // --- Phase 3: DP-GNN training -----------------------------------------
@@ -192,12 +179,7 @@ pub fn run_method_with_candidates(
         &mut rng,
     );
     let report = if container.is_empty() {
-        crate::train::TrainReport {
-            losses: Vec::new(),
-            clip_fractions: Vec::new(),
-            training_secs: 0.0,
-            sigma: None,
-        }
+        TrainReport::default()
     } else {
         train(
             model.as_mut(),
@@ -240,12 +222,18 @@ pub fn run_method_with_candidates(
         occurrence_bound,
         sigma: report.sigma,
         final_loss: *report.losses.last().unwrap_or(&f64::NAN),
+        model: Checkpoint::capture(
+            model.as_ref(),
+            config.feature_dim,
+            config.hidden,
+            config.hops,
+        ),
     }
 }
 
 /// Extraction dispatch: returns the container and the occurrence bound
 /// `N_g` the accountant must use.
-fn extract_for(
+pub fn extract_for(
     method: Method,
     g: &Graph,
     config: &PrivImConfig,
@@ -286,6 +274,33 @@ fn extract_for(
         }
         Method::Hp | Method::HpGrat => extract_heter_poisson(g, config, candidates, rng),
     }
+}
+
+/// Calibration dispatch: the method's noise family at `delta`, or `None`
+/// for a non-private method, a config without ε, or an empty container.
+pub fn calibrate_for(
+    method: Method,
+    config: &PrivImConfig,
+    container: &SubgraphContainer,
+    occurrence_bound: usize,
+    delta: f64,
+) -> Option<PrivacySetup> {
+    let eps = config.epsilon.filter(|_| method != Method::NonPrivate)?;
+    if container.is_empty() {
+        return None;
+    }
+    let noise = match method {
+        Method::Hp | Method::HpGrat => NoiseKind::SymmetricLaplace,
+        _ => NoiseKind::Gaussian,
+    };
+    Some(PrivacySetup::calibrate(
+        eps,
+        delta,
+        config,
+        container.len(),
+        occurrence_bound,
+        noise,
+    ))
 }
 
 /// HeterPoisson-style extraction for the HP baselines: each selected node
@@ -426,6 +441,15 @@ mod tests {
         let c = run_method(&g, Method::PrivImStar, &cfg, 12);
         // Different randomness almost surely changes something.
         assert!(a.seeds != c.seeds || a.sigma != c.sigma || a.container_size != c.container_size);
+    }
+
+    /// Golden values: a PrivIM* run's seeds and spread are pinned bit for
+    /// bit.
+    #[test]
+    fn golden_privim_star_run_is_pinned() {
+        let r = run_method(&graph(1), Method::PrivImStar, &fast_config(), 7);
+        assert_eq!(r.seeds, [43, 138, 247, 57, 186, 207, 64, 180, 205, 217]);
+        assert_eq!(r.spread.to_bits(), 4630685579355357184);
     }
 
     #[test]

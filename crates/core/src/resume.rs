@@ -1,9 +1,11 @@
 //! Crash-safe resumable training.
 //!
-//! [`train_resumable`] runs the same Algorithm 2 steps as
-//! [`crate::train::train`], but derives a fresh RNG for every epoch from
-//! the master seed (`StdRng::seed_from_u64(splitmix64-mix(seed, epoch))`)
-//! instead of threading one stream across the run. That makes the epoch
+//! [`train_resumable`] runs Algorithm 2 through the same epoch loop as
+//! [`crate::train::train`]; the only difference between the two entry
+//! points is the RNG source. This one derives a fresh RNG for every
+//! epoch from the master seed
+//! (`StdRng::seed_from_u64(splitmix64-mix(seed, epoch))`) instead of
+//! threading one stream across the run. That makes the epoch
 //! cursor the *only* generator state: a checkpoint stores no RNG bytes,
 //! and a run killed at any instruction and resumed from its last durable
 //! generation replays the remaining epochs bit-identically — final
@@ -21,10 +23,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use privim_dp::budget::{BudgetDecision, BudgetGuard};
-use privim_dp::ledger::{MechanismKind, PrivacyLedger};
+use privim_dp::budget::BudgetGuard;
+use privim_dp::ledger::PrivacyLedger;
 use privim_nn::models::{build_model, GnnModel, ModelKind};
-use privim_nn::optim::{Optimizer, Sgd};
 use privim_obs::fault::splitmix64;
 
 use crate::checkpoint::{
@@ -32,7 +33,7 @@ use crate::checkpoint::{
 };
 use crate::config::PrivImConfig;
 use crate::container::SubgraphContainer;
-use crate::train::{dp_step, PrivacySetup, TrainError, TrainReport};
+use crate::train::{run_epochs, EpochRng, EpochState, PrivacySetup, TrainError, TrainReport};
 
 /// Errors from the resumable training loop.
 #[derive(Debug)]
@@ -203,6 +204,65 @@ fn verify_restored_ledger(ledger: &PrivacyLedger) -> Result<(), ResumeError> {
     Ok(())
 }
 
+/// Fresh per-epoch RNG streams derived from the master seed: each
+/// epoch's randomness depends only on `(master_seed, epoch)`, never on
+/// how many times the process died on the way there.
+struct EpochStreams {
+    master_seed: u64,
+    current: Option<StdRng>,
+}
+
+impl EpochRng for EpochStreams {
+    type Rng = StdRng;
+    fn for_epoch(&mut self, epoch: u64) -> &mut StdRng {
+        self.current
+            .insert(StdRng::seed_from_u64(epoch_seed(self.master_seed, epoch)))
+    }
+}
+
+/// Where and how often the epoch loop persists its state, and the
+/// run-level fields every generation carries.
+pub(crate) struct Cadence<'a> {
+    pub store: &'a CheckpointStore,
+    /// Save after every this many completed epochs (and the final one).
+    pub every: u64,
+    /// Epoch of the newest valid generation on disk when the loop starts.
+    pub durable: Option<u64>,
+    pub master_seed: u64,
+    pub config_crc: u32,
+    pub trace_id: u128,
+    pub split: Option<SplitProvenance>,
+}
+
+impl Cadence<'_> {
+    /// Writes one generation holding `model` and `state`.
+    pub fn save(
+        &self,
+        model: &dyn GnnModel,
+        state: &EpochState,
+        config: &PrivImConfig,
+    ) -> Result<(), CheckpointError> {
+        self.store.save(&TrainCheckpoint {
+            epoch: state.epoch,
+            master_seed: self.master_seed,
+            config_crc: self.config_crc,
+            trace_id: self.trace_id,
+            model: privim_nn::serialize::Checkpoint::capture(
+                model,
+                config.feature_dim,
+                config.hidden,
+                config.hops,
+            ),
+            optimizer: state.optimizer.snapshot(),
+            ledger: state.ledger.clone(),
+            losses: state.losses.clone(),
+            clip_fractions: state.clip_fractions.clone(),
+            split: self.split,
+        })?;
+        Ok(())
+    }
+}
+
 /// Runs (or resumes) crash-safe DP training.
 ///
 /// Starts from the newest valid checkpoint in `store` when one exists —
@@ -219,10 +279,6 @@ pub fn train_resumable(
     store: &CheckpointStore,
     opts: ResumeOptions,
 ) -> Result<ResumableOutcome, ResumeError> {
-    assert!(
-        !container.is_empty(),
-        "cannot train on an empty subgraph container"
-    );
     // Run-scoped trace: derived from the master seed alone (no RNG is
     // consumed, no wall clock is read), so a resumed run reconstructs
     // the exact context its killed predecessor stamped into telemetry
@@ -233,29 +289,8 @@ pub fn train_resumable(
     let _span = privim_obs::span!("training_resumable");
     let started = std::time::Instant::now();
     let expected_crc = config_digest(config);
-    let checkpoint_every = opts.checkpoint_every.max(1);
 
-    let restored = store.load_latest_valid()?;
-    /// Model, optimizer, ledger, losses, clip fractions, start epoch and
-    /// the generation resumed from.
-    type RunState = (
-        Box<dyn GnnModel>,
-        Box<dyn Optimizer>,
-        Option<PrivacyLedger>,
-        Vec<f64>,
-        Vec<f64>,
-        u64,
-        Option<u64>,
-    );
-    let (
-        mut model,
-        mut optimizer,
-        mut ledger,
-        mut losses,
-        mut clip_fractions,
-        start_epoch,
-        resumed_from,
-    ): RunState = match restored {
+    let (mut model, mut state, resumed_from) = match store.load_latest_valid()? {
         Some((ckpt, path)) => {
             if ckpt.config_crc != expected_crc {
                 return Err(ResumeError::ConfigMismatch {
@@ -297,15 +332,14 @@ pub fn train_resumable(
                 path = path.display().to_string(),
                 epsilon_so_far = ckpt.ledger.as_ref().and_then(|l| l.cumulative_epsilon()),
             );
-            (
-                model,
-                ckpt.optimizer.build(),
-                ckpt.ledger,
-                ckpt.losses,
-                ckpt.clip_fractions,
-                ckpt.epoch,
-                Some(ckpt.epoch),
-            )
+            let state = EpochState {
+                epoch: ckpt.epoch,
+                optimizer: ckpt.optimizer.build(),
+                ledger: ckpt.ledger,
+                losses: ckpt.losses,
+                clip_fractions: ckpt.clip_fractions,
+            };
+            (model, state, Some(ckpt.epoch))
         }
         None => {
             let mut init_rng = StdRng::seed_from_u64(epoch_seed(master_seed, u64::MAX));
@@ -316,199 +350,37 @@ pub fn train_resumable(
                 config.hops,
                 &mut init_rng,
             );
-            let ledger = privacy.map(|setup| PrivacyLedger::new(setup.delta));
-            (
-                model,
-                Box::new(Sgd::new(config.learning_rate)) as Box<dyn Optimizer>,
-                ledger,
-                Vec::new(),
-                Vec::new(),
-                0,
-                None,
-            )
+            (model, EpochState::fresh(config, privacy), None)
         }
     };
 
-    let m = container.len();
-    let batch = config.batch_size.min(m);
-    let indices: Vec<usize> = (0..m).collect();
-    let mut consecutive_bad = 0usize;
-    let mut last_ckpt_epoch: Option<u64> = resumed_from;
-    let mut budget_halt: Option<BudgetHalt> = None;
-    // The guard is pure arithmetic over cloned accountant state: it
-    // never mutates the ledger and never draws randomness, so arming it
-    // cannot perturb the seeded epoch streams below.
-    let mut guard: Option<BudgetGuard> = match (privacy, opts.epsilon_budget) {
-        (Some(_), Some(budget)) => Some(BudgetGuard::with_warn_fraction(
-            budget,
-            opts.budget_warn_fraction,
-        )),
-        _ => None,
+    let guard = opts
+        .epsilon_budget
+        .map(|budget| BudgetGuard::with_warn_fraction(budget, opts.budget_warn_fraction));
+    let cadence = Cadence {
+        store,
+        every: opts.checkpoint_every.max(1) as u64,
+        durable: resumed_from,
+        master_seed,
+        config_crc: expected_crc,
+        trace_id: run_ctx.trace_id,
+        split: opts.split,
     };
+    let budget_halt = run_epochs(
+        model.as_mut(),
+        &mut state,
+        container,
+        config,
+        privacy,
+        guard,
+        Some(&cadence),
+        &mut EpochStreams {
+            master_seed,
+            current: None,
+        },
+    )?;
 
-    for epoch in start_epoch..config.iterations as u64 {
-        if let (Some(g), Some(setup)) = (guard.as_mut(), privacy) {
-            let ledger = ledger.as_ref().expect("private runs carry a ledger");
-            let sub = privim_dp::rdp::SubsampledConfig {
-                max_occurrences: setup.max_occurrences,
-                batch_size: batch,
-                container_size: m.max(1),
-            };
-            match g.check_next_step(ledger, setup.sigma, &sub) {
-                BudgetDecision::Halt { spent, projected } => {
-                    let fresh_steps = epoch - start_epoch;
-                    privim_obs::warn!(
-                        "dp",
-                        "budget_halt",
-                        epoch = epoch,
-                        budget = g.budget(),
-                        epsilon_spent = spent,
-                        projected_next = projected,
-                        fresh_steps = fresh_steps,
-                    );
-                    privim_obs::counter("dp.budget_halts").add(1);
-                    privim_obs::watch::observe("dp.epsilon_next", epoch, projected);
-                    budget_halt = Some(BudgetHalt {
-                        epoch,
-                        budget: g.budget(),
-                        epsilon_spent: spent,
-                        projected_next: projected,
-                        fresh_steps,
-                    });
-                    break;
-                }
-                BudgetDecision::Warn {
-                    projected,
-                    steps_remaining,
-                } => {
-                    privim_obs::warn!(
-                        "dp",
-                        "budget_warning",
-                        epoch = epoch,
-                        budget = g.budget(),
-                        projected = projected,
-                        steps_remaining = steps_remaining,
-                    );
-                    privim_obs::watch::observe("dp.epsilon_next", epoch, projected);
-                }
-                BudgetDecision::Proceed { projected } => {
-                    privim_obs::watch::observe("dp.epsilon_next", epoch, projected);
-                }
-            }
-        }
-        // The whole point: each epoch's randomness depends only on
-        // (master_seed, epoch), never on how many times the process died
-        // on the way here.
-        let mut rng = StdRng::seed_from_u64(epoch_seed(master_seed, epoch));
-        let stats = dp_step(
-            model.as_mut(),
-            optimizer.as_mut(),
-            container,
-            config,
-            privacy,
-            &indices,
-            batch,
-            epoch as usize,
-            &mut rng,
-        )?;
-        losses.push(stats.mean_loss);
-        privim_obs::counter("train.iterations").add(1);
-        privim_obs::histogram("train.loss").record(stats.mean_loss);
-        privim_obs::watch::observe("train.loss", epoch, stats.mean_loss);
-        if stats.skipped {
-            consecutive_bad += 1;
-            if privacy.is_some() {
-                clip_fractions.push(stats.clip_fraction);
-            }
-            if consecutive_bad >= config.max_bad_steps {
-                return Err(TrainError::NonFiniteDivergence {
-                    step: epoch as usize,
-                    consecutive: consecutive_bad,
-                }
-                .into());
-            }
-        } else {
-            consecutive_bad = 0;
-            if let Some(setup) = privacy {
-                clip_fractions.push(stats.clip_fraction);
-                privim_obs::histogram("train.clip_fraction").record(stats.clip_fraction);
-                let ledger = ledger.as_mut().expect("private runs carry a ledger");
-                let mech = match setup.noise {
-                    crate::train::NoiseKind::Gaussian => MechanismKind::SubsampledGaussian,
-                    crate::train::NoiseKind::SymmetricLaplace => MechanismKind::SubsampledSml,
-                };
-                let sensitivity = config.clip_bound * setup.max_occurrences as f64;
-                let sub = privim_dp::rdp::SubsampledConfig {
-                    max_occurrences: setup.max_occurrences,
-                    batch_size: batch,
-                    container_size: m.max(1),
-                };
-                let (eps, _alpha) = ledger.record_step(mech, setup.sigma, sensitivity, &sub);
-                privim_obs::watch::observe("dp.epsilon_spent", epoch, eps);
-                privim_obs::info!(
-                    "train",
-                    "epoch",
-                    epoch = epoch,
-                    loss = stats.mean_loss,
-                    clip_fraction = stats.clip_fraction,
-                    epsilon_spent = eps,
-                );
-            } else {
-                privim_obs::info!("train", "epoch", epoch = epoch, loss = stats.mean_loss);
-            }
-        }
-
-        let completed = epoch + 1;
-        if completed % checkpoint_every as u64 == 0 || completed == config.iterations as u64 {
-            let ckpt = TrainCheckpoint {
-                epoch: completed,
-                master_seed,
-                config_crc: expected_crc,
-                trace_id: run_ctx.trace_id,
-                model: privim_nn::serialize::Checkpoint::capture(
-                    model.as_ref(),
-                    config.feature_dim,
-                    config.hidden,
-                    config.hops,
-                ),
-                optimizer: optimizer.snapshot(),
-                ledger: ledger.clone(),
-                losses: losses.clone(),
-                clip_fractions: clip_fractions.clone(),
-                split: opts.split,
-            };
-            store.save(&ckpt)?;
-            last_ckpt_epoch = Some(completed);
-        }
-    }
-
-    // A budget halt is a clean, resumable stop: persist everything
-    // committed so far (unless the newest generation already covers it,
-    // as on an immediate resume-refusal).
-    if let Some(h) = &budget_halt {
-        if last_ckpt_epoch != Some(h.epoch) {
-            let ckpt = TrainCheckpoint {
-                epoch: h.epoch,
-                master_seed,
-                config_crc: expected_crc,
-                trace_id: run_ctx.trace_id,
-                model: privim_nn::serialize::Checkpoint::capture(
-                    model.as_ref(),
-                    config.feature_dim,
-                    config.hidden,
-                    config.hops,
-                ),
-                optimizer: optimizer.snapshot(),
-                ledger: ledger.clone(),
-                losses: losses.clone(),
-                clip_fractions: clip_fractions.clone(),
-                split: opts.split,
-            };
-            store.save(&ckpt)?;
-        }
-    }
-
-    if let Some(l) = &ledger {
+    if let Some(l) = &state.ledger {
         // The invariant the whole subsystem exists to protect: the
         // ledger's recorded schedule replays exactly, interrupted or not.
         verify_restored_ledger(l)?;
@@ -516,13 +388,8 @@ pub fn train_resumable(
 
     Ok(ResumableOutcome {
         trace_id: run_ctx.trace_id,
-        final_epsilon: ledger.as_ref().and_then(|l| l.cumulative_epsilon()),
-        report: TrainReport {
-            losses,
-            clip_fractions,
-            training_secs: started.elapsed().as_secs_f64(),
-            sigma: privacy.map(|p| p.sigma),
-        },
+        final_epsilon: state.ledger.as_ref().and_then(|l| l.cumulative_epsilon()),
+        report: state.report(started, privacy),
         model,
         resumed_from,
         budget_halt,
@@ -663,6 +530,73 @@ mod tests {
             Err(ResumeError::ConfigMismatch { .. })
         ));
         std::fs::remove_dir_all(st.dir()).ok();
+    }
+
+    /// Golden values: the resumable entry point's final weights, ε and
+    /// losses are pinned bit for bit.
+    #[test]
+    fn golden_outputs_are_pinned() {
+        let _g = crate::checkpoint::tests::fault_lock();
+        let (container, cfg) = setup(1);
+        let setup =
+            PrivacySetup::calibrate(3.0, 1e-4, &cfg, container.len(), 4, NoiseKind::Gaussian);
+        let run = |privacy: Option<&PrivacySetup>| {
+            let st = store("golden");
+            let out = train_resumable(
+                ModelKind::Gcn,
+                &container,
+                &cfg,
+                privacy,
+                99,
+                &st,
+                ResumeOptions::default(),
+            )
+            .unwrap();
+            std::fs::remove_dir_all(st.dir()).ok();
+            let digest = privim_nn::serialize::Checkpoint::capture(
+                out.model.as_ref(),
+                cfg.feature_dim,
+                cfg.hidden,
+                cfg.hops,
+            )
+            .digest_hex();
+            let losses: Vec<u64> = out.report.losses.iter().map(|l| l.to_bits()).collect();
+            (digest, out.final_epsilon.map(f64::to_bits), losses)
+        };
+        let private = run(Some(&setup));
+        assert_eq!(
+            private,
+            (
+                "841f1443c86e1332".to_string(),
+                Some(4613937818241073152),
+                vec![
+                    4618640146410244651,
+                    4617837984476262995,
+                    4619043149411718268,
+                    4619103921463268816,
+                    4618488453106411793,
+                    4619142087099298125,
+                ],
+            ),
+            "private"
+        );
+        let plain = run(None);
+        assert_eq!(
+            plain,
+            (
+                "67b331afa2ea63e4".to_string(),
+                None,
+                vec![
+                    4618640146410244651,
+                    4617810676586279781,
+                    4618979761499462563,
+                    4618998200361359799,
+                    4618345688559002409,
+                    4618958672655492200,
+                ],
+            ),
+            "non-private"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use privim_dp::budget::{BudgetDecision, BudgetGuard};
 use privim_dp::ledger::{MechanismKind, PrivacyLedger};
 use privim_dp::mechanisms::{gaussian, symmetric_multivariate_laplace};
 use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
@@ -21,6 +22,7 @@ use privim_nn::tape::Tape;
 use crate::config::{LossKind, PrivImConfig};
 use crate::container::SubgraphContainer;
 use crate::loss::{im_loss, lt_loss};
+use crate::resume::{BudgetHalt, Cadence, ResumeError};
 
 /// Which noise the private training loop injects.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,18 +87,11 @@ impl PrivacySetup {
         acct.epsilon(self.delta)
     }
 
-    /// The cumulative `(ε, best α)` after each of the run's iterations —
-    /// the per-step privacy spend telemetry reports.
-    pub fn epsilon_schedule(
+    pub(crate) fn subsampled_config(
         &self,
         config: &PrivImConfig,
         container_size: usize,
-    ) -> Vec<(f64, f64)> {
-        let sub = self.subsampled_config(config, container_size);
-        RdpAccountant::default().epsilon_schedule(self.sigma, &sub, config.iterations, self.delta)
-    }
-
-    fn subsampled_config(&self, config: &PrivImConfig, container_size: usize) -> SubsampledConfig {
+    ) -> SubsampledConfig {
         SubsampledConfig {
             max_occurrences: self.max_occurrences,
             batch_size: config.batch_size.min(container_size.max(1)),
@@ -143,7 +138,7 @@ impl From<privim_obs::FaultSignal> for TrainError {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     /// Mean batch loss per iteration.
     pub losses: Vec<f64>,
@@ -317,120 +312,257 @@ pub fn train<R: Rng + ?Sized>(
     privacy: Option<&PrivacySetup>,
     rng: &mut R,
 ) -> Result<TrainReport, TrainError> {
-    assert!(
-        !container.is_empty(),
-        "cannot train on an empty subgraph container"
-    );
     let _span = privim_obs::span!("training");
     let started = std::time::Instant::now();
-    let mut optimizer = Sgd::new(config.learning_rate);
-    let m = container.len();
-    let batch = config.batch_size.min(m);
-    let indices: Vec<usize> = (0..m).collect();
-    let mut losses = Vec::with_capacity(config.iterations);
-    let mut clip_fractions = Vec::with_capacity(if privacy.is_some() {
-        config.iterations
-    } else {
-        0
-    });
-    // Per-step cumulative ε is O(steps × orders) to compute, so only pay
-    // for it when an Info-level sink is listening. Never touches `rng`.
-    let epsilon_schedule: Option<Vec<(f64, f64)>> = privacy
-        .filter(|_| privim_obs::enabled(privim_obs::Level::Info))
-        .map(|setup| setup.epsilon_schedule(config, m));
-    // The budget ledger appends one entry (and emits a `dp`/`mechanism`
-    // event) per noisy step. Like the schedule above, it only runs when a
-    // sink listens, and it never touches `rng`.
-    let mut ledger: Option<PrivacyLedger> = privacy
-        .filter(|_| privim_obs::enabled(privim_obs::Level::Debug))
-        .map(|setup| PrivacyLedger::new(setup.delta));
-    let mut consecutive_bad = 0usize;
-    let mut noisy_steps = 0usize;
-
-    for iter in 0..config.iterations {
-        let stats = dp_step(
-            model,
-            &mut optimizer,
-            container,
-            config,
-            privacy,
-            &indices,
-            batch,
-            iter,
-            rng,
-        )?;
-        losses.push(stats.mean_loss);
-        privim_obs::counter("train.iterations").add(1);
-        privim_obs::histogram("train.loss").record(stats.mean_loss);
-        if stats.skipped {
-            consecutive_bad += 1;
-            if privacy.is_some() {
-                clip_fractions.push(stats.clip_fraction);
-            }
-            if consecutive_bad >= config.max_bad_steps {
-                return Err(TrainError::NonFiniteDivergence {
-                    step: iter,
-                    consecutive: consecutive_bad,
-                });
-            }
-            continue;
-        }
-        consecutive_bad = 0;
-        if let Some(setup) = privacy {
-            noisy_steps += 1;
-            clip_fractions.push(stats.clip_fraction);
-            privim_obs::histogram("train.clip_fraction").record(stats.clip_fraction);
-            let spent = epsilon_schedule
-                .as_ref()
-                .and_then(|s| s.get(noisy_steps - 1))
-                .copied();
-            privim_obs::info!(
-                "train",
-                "epoch",
-                epoch = iter,
-                loss = stats.mean_loss,
-                clip_fraction = stats.clip_fraction,
-                grad_norm_pre = stats.grad_norm_pre,
-                grad_norm_post = stats.grad_norm_post,
-                noise_std = setup.noise_std(config.clip_bound),
-                epsilon_spent = spent.map(|(eps, _)| eps),
-            );
-            if let Some((eps, alpha)) = spent {
-                privim_obs::debug!(
-                    "dp",
-                    "epsilon",
-                    step = iter + 1,
-                    epsilon = eps,
-                    alpha = alpha
-                );
-            }
-            if let Some(ledger) = ledger.as_mut() {
-                let kind = match setup.noise {
-                    NoiseKind::Gaussian => MechanismKind::SubsampledGaussian,
-                    NoiseKind::SymmetricLaplace => MechanismKind::SubsampledSml,
-                };
-                let sensitivity = config.clip_bound * setup.max_occurrences as f64;
-                let sub = setup.subsampled_config(config, m);
-                ledger.record_step(kind, setup.sigma, sensitivity, &sub);
-            }
-        } else {
-            privim_obs::info!("train", "epoch", epoch = iter, loss = stats.mean_loss);
-        }
-    }
-
-    if let Some(ledger) = &ledger {
+    let mut state = EpochState::fresh(config, privacy);
+    run_epochs(
+        model,
+        &mut state,
+        container,
+        config,
+        privacy,
+        None,
+        None,
+        &mut &mut *rng,
+    )
+    .map_err(|e| match e {
+        ResumeError::Train(e) => e,
+        ResumeError::Killed { site } => TrainError::Fault(privim_obs::FaultSignal::Kill { site }),
+        other => unreachable!("a run without a checkpoint store failed with: {other}"),
+    })?;
+    if let Some(ledger) = &state.ledger {
         debug_assert!(
             ledger.verify_replay(1e-9).is_ok(),
             "privacy ledger replay diverged from its recorded epsilons"
         );
     }
+    Ok(state.report(started, privacy))
+}
 
-    Ok(TrainReport {
-        losses,
-        clip_fractions,
-        training_secs: started.elapsed().as_secs_f64(),
-        sigma: privacy.map(|p| p.sigma),
-    })
+/// Where each epoch's randomness comes from. This is the only thing the
+/// two entry points of the epoch loop differ in: [`train`] threads the
+/// caller's single stream through every epoch, while
+/// [`crate::resume::train_resumable`] draws a fresh stream derived from
+/// `(master_seed, epoch)`, so a resumed run needs no stored RNG state.
+pub(crate) trait EpochRng {
+    /// The concrete generator (kept monomorphic: noise sampling draws
+    /// from it once per gradient entry).
+    type Rng: Rng + ?Sized;
+    /// The generator epoch `epoch`'s batch selection and noise draw from.
+    fn for_epoch(&mut self, epoch: u64) -> &mut Self::Rng;
+}
+
+/// The caller's one stream, used for every epoch in turn.
+impl<R: Rng + ?Sized> EpochRng for &mut R {
+    type Rng = R;
+    fn for_epoch(&mut self, _epoch: u64) -> &mut R {
+        self
+    }
+}
+
+/// Algorithm 2's state between epochs: exactly what a crash-safe
+/// checkpoint persists next to the model.
+pub(crate) struct EpochState {
+    /// Completed epochs; the loop resumes at this epoch.
+    pub epoch: u64,
+    pub optimizer: Box<dyn Optimizer>,
+    /// Exact RDP ledger, one entry per noisy step (private runs only).
+    pub ledger: Option<PrivacyLedger>,
+    pub losses: Vec<f64>,
+    pub clip_fractions: Vec<f64>,
+}
+
+impl EpochState {
+    /// The state before epoch 0.
+    pub fn fresh(config: &PrivImConfig, privacy: Option<&PrivacySetup>) -> Self {
+        EpochState {
+            epoch: 0,
+            optimizer: Box::new(Sgd::new(config.learning_rate)),
+            ledger: privacy.map(|setup| PrivacyLedger::new(setup.delta)),
+            losses: Vec::with_capacity(config.iterations),
+            clip_fractions: Vec::new(),
+        }
+    }
+
+    /// The run's report, timed from `started`.
+    pub fn report(
+        self,
+        started: std::time::Instant,
+        privacy: Option<&PrivacySetup>,
+    ) -> TrainReport {
+        TrainReport {
+            losses: self.losses,
+            clip_fractions: self.clip_fractions,
+            training_secs: started.elapsed().as_secs_f64(),
+            sigma: privacy.map(|p| p.sigma),
+        }
+    }
+}
+
+/// Algorithm 2's epoch loop, shared by [`train`] and
+/// [`crate::resume::train_resumable`]: runs [`dp_step`] for epochs
+/// `state.epoch..config.iterations` and does each epoch's bookkeeping —
+/// losses and counters, skipped steps and the divergence abort, the
+/// ledger record and the exact ε, the `train/epoch` and `dp` events and
+/// the watch feed. With a `guard` it halts before the first step that
+/// would overspend the budget (returning the halt); with a `cadence` it
+/// persists the state on the cadence, after the final epoch and at a
+/// halt. Neither touches the RNG, so every configuration takes the same
+/// steps.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_epochs<S: EpochRng>(
+    model: &mut dyn GnnModel,
+    state: &mut EpochState,
+    container: &SubgraphContainer,
+    config: &PrivImConfig,
+    privacy: Option<&PrivacySetup>,
+    mut guard: Option<BudgetGuard>,
+    cadence: Option<&Cadence>,
+    rngs: &mut S,
+) -> Result<Option<BudgetHalt>, ResumeError> {
+    assert!(
+        !container.is_empty(),
+        "cannot train on an empty subgraph container"
+    );
+    let m = container.len();
+    let batch = config.batch_size.min(m);
+    let indices: Vec<usize> = (0..m).collect();
+    let sub = privacy.map(|setup| setup.subsampled_config(config, m));
+    let start_epoch = state.epoch;
+    let mut durable = cadence.and_then(|c| c.durable);
+    let mut consecutive_bad = 0usize;
+    let mut budget_halt = None;
+
+    for epoch in start_epoch..config.iterations as u64 {
+        // The guard only gates private runs. It is pure arithmetic over
+        // cloned accountant state: it never mutates the ledger and never
+        // draws randomness.
+        if let (Some(g), Some(setup), Some(sub), Some(ledger)) =
+            (guard.as_mut(), privacy, &sub, &state.ledger)
+        {
+            let projected = match g.check_next_step(ledger, setup.sigma, sub) {
+                BudgetDecision::Halt { spent, projected } => {
+                    let fresh_steps = epoch - start_epoch;
+                    privim_obs::warn!(
+                        "dp",
+                        "budget_halt",
+                        epoch = epoch,
+                        budget = g.budget(),
+                        epsilon_spent = spent,
+                        projected_next = projected,
+                        fresh_steps = fresh_steps,
+                    );
+                    privim_obs::counter("dp.budget_halts").add(1);
+                    budget_halt = Some(BudgetHalt {
+                        epoch,
+                        budget: g.budget(),
+                        epsilon_spent: spent,
+                        projected_next: projected,
+                        fresh_steps,
+                    });
+                    projected
+                }
+                BudgetDecision::Warn {
+                    projected,
+                    steps_remaining,
+                } => {
+                    privim_obs::warn!(
+                        "dp",
+                        "budget_warning",
+                        epoch = epoch,
+                        budget = g.budget(),
+                        projected = projected,
+                        steps_remaining = steps_remaining,
+                    );
+                    projected
+                }
+                BudgetDecision::Proceed { projected } => projected,
+            };
+            privim_obs::watch::observe("dp.epsilon_next", epoch, projected);
+            if budget_halt.is_some() {
+                break;
+            }
+        }
+        let stats = dp_step(
+            model,
+            state.optimizer.as_mut(),
+            container,
+            config,
+            privacy,
+            &indices,
+            batch,
+            epoch as usize,
+            rngs.for_epoch(epoch),
+        )?;
+        state.losses.push(stats.mean_loss);
+        privim_obs::counter("train.iterations").add(1);
+        privim_obs::histogram("train.loss").record(stats.mean_loss);
+        privim_obs::watch::observe("train.loss", epoch, stats.mean_loss);
+        if privacy.is_some() {
+            state.clip_fractions.push(stats.clip_fraction);
+        }
+        if stats.skipped {
+            consecutive_bad += 1;
+            if consecutive_bad >= config.max_bad_steps {
+                return Err(TrainError::NonFiniteDivergence {
+                    step: epoch as usize,
+                    consecutive: consecutive_bad,
+                }
+                .into());
+            }
+        } else {
+            consecutive_bad = 0;
+            match (privacy, &sub, state.ledger.as_mut()) {
+                (Some(setup), Some(sub), Some(ledger)) => {
+                    privim_obs::histogram("train.clip_fraction").record(stats.clip_fraction);
+                    let mechanism = match setup.noise {
+                        NoiseKind::Gaussian => MechanismKind::SubsampledGaussian,
+                        NoiseKind::SymmetricLaplace => MechanismKind::SubsampledSml,
+                    };
+                    let sensitivity = config.clip_bound * setup.max_occurrences as f64;
+                    let (eps, alpha) = ledger.record_step(mechanism, setup.sigma, sensitivity, sub);
+                    privim_obs::watch::observe("dp.epsilon_spent", epoch, eps);
+                    privim_obs::info!(
+                        "train",
+                        "epoch",
+                        epoch = epoch,
+                        loss = stats.mean_loss,
+                        clip_fraction = stats.clip_fraction,
+                        grad_norm_pre = stats.grad_norm_pre,
+                        grad_norm_post = stats.grad_norm_post,
+                        noise_std = setup.noise_std(config.clip_bound),
+                        epsilon_spent = eps,
+                    );
+                    privim_obs::debug!(
+                        "dp",
+                        "epsilon",
+                        step = epoch + 1,
+                        epsilon = eps,
+                        alpha = alpha
+                    );
+                }
+                _ => privim_obs::info!("train", "epoch", epoch = epoch, loss = stats.mean_loss),
+            }
+        }
+
+        state.epoch = epoch + 1;
+        if let Some(c) = cadence {
+            if state.epoch.is_multiple_of(c.every) || state.epoch == config.iterations as u64 {
+                c.save(model, state, config)?;
+                durable = Some(state.epoch);
+            }
+        }
+    }
+
+    // A budget halt is a clean, resumable stop: persist everything
+    // committed so far, unless the newest generation already covers it
+    // (as on an immediate resume refusal).
+    if let (Some(c), Some(h)) = (cadence, &budget_halt) {
+        if durable != Some(h.epoch) {
+            c.save(model, state, config)?;
+        }
+    }
+    Ok(budget_halt)
 }
 
 #[cfg(test)]
@@ -637,6 +769,75 @@ mod tests {
             train(model.as_mut(), &container, &cfg, None, &mut rng),
             Err(TrainError::NonFiniteDivergence { .. })
         ));
+    }
+
+    /// Golden values: the single-stream entry point's losses and final
+    /// weights are pinned bit for bit.
+    #[test]
+    fn golden_outputs_are_pinned() {
+        let (_, container, cfg) = setup(1);
+        let setup = PrivacySetup::calibrate(
+            3.0,
+            1e-4,
+            &cfg,
+            container.len(),
+            cfg.freq_threshold,
+            NoiseKind::Gaussian,
+        );
+        let run = |privacy: Option<&PrivacySetup>| {
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut model = build_model(
+                ModelKind::Gcn,
+                cfg.feature_dim,
+                cfg.hidden,
+                cfg.hops,
+                &mut rng,
+            );
+            let report = train(model.as_mut(), &container, &cfg, privacy, &mut rng).unwrap();
+            let digest = privim_nn::serialize::Checkpoint::capture(
+                model.as_ref(),
+                cfg.feature_dim,
+                cfg.hidden,
+                cfg.hops,
+            )
+            .digest_hex();
+            let losses: Vec<u64> = report.losses.iter().map(|l| l.to_bits()).collect();
+            (digest, losses)
+        };
+        assert_eq!(
+            run(Some(&setup)),
+            (
+                "d5db3dddaff4b232".to_string(),
+                vec![
+                    4620438890266802499,
+                    4620491716266419609,
+                    4619700252546420965,
+                    4618889686546398840,
+                    4620429087356989343,
+                    4620981069842790589,
+                    4620425588181586107,
+                    4620357069166111015,
+                ],
+            ),
+            "private"
+        );
+        assert_eq!(
+            run(None),
+            (
+                "9379db13700188bb".to_string(),
+                vec![
+                    4620438890266802499,
+                    4619641911325886295,
+                    4620941320239494859,
+                    4619669937138003373,
+                    4620424003237382219,
+                    4620225276359417487,
+                    4620555163928298507,
+                    4619457021881842656,
+                ],
+            ),
+            "non-private"
+        );
     }
 
     #[test]

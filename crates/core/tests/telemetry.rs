@@ -268,6 +268,77 @@ fn jsonl_telemetry_round_trips_and_leaves_results_unchanged() {
     privim_obs::reset_profile();
 }
 
+// Both entry points run one epoch loop, so the crash-safe one reports the
+// same per-epoch record and the same ledger as the pipeline case above.
+#[test]
+fn resumable_training_emits_the_pipeline_epoch_record() {
+    use privim_core::checkpoint::CheckpointStore;
+    use privim_core::resume::{train_resumable, ResumeOptions};
+    use privim_core::sampling::extract_dual_stage;
+    use privim_core::train::{NoiseKind, PrivacySetup};
+    use privim_nn::models::ModelKind;
+
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(5);
+    let g = holme_kim(200, 4, 0.4, 1.0, &mut rng);
+    let cfg = fast_config();
+    let candidates: Vec<privim_graph::NodeId> = g.nodes().collect();
+    let container = extract_dual_stage(&g, &cfg, &candidates, &mut rng).container;
+    let setup = PrivacySetup::calibrate(
+        4.0,
+        1e-4,
+        &cfg,
+        container.len(),
+        cfg.freq_threshold,
+        NoiseKind::Gaussian,
+    );
+    let dir = std::env::temp_dir().join("privim-core-telemetry-resumable");
+    std::fs::remove_dir_all(&dir).ok();
+    let store = CheckpointStore::open(&dir, 3).unwrap();
+
+    let path = std::env::temp_dir().join("privim-core-telemetry-resumable.jsonl");
+    privim_obs::install_sink(Arc::new(
+        JsonlSink::create_with_level(&path, Level::Debug).expect("create telemetry file"),
+    ));
+    let out = train_resumable(
+        ModelKind::Gcn,
+        &container,
+        &cfg,
+        Some(&setup),
+        9,
+        &store,
+        ResumeOptions::default(),
+    )
+    .unwrap();
+    privim_obs::take_sinks();
+    std::fs::remove_dir_all(&dir).ok();
+    let text = std::fs::read_to_string(&path).expect("read telemetry file");
+    std::fs::remove_file(&path).ok();
+    let report = RunTelemetry::from_jsonl(&text).expect("telemetry parses back");
+
+    assert_eq!(report.epochs.len(), cfg.iterations);
+    assert_eq!(report.epsilon_trace.len(), cfg.iterations);
+    for (i, e) in report.epochs.iter().enumerate() {
+        assert_eq!(e.epoch, i as u64);
+        assert!(e.grad_norm_pre.unwrap() >= e.grad_norm_post.unwrap() - 1e-12);
+        assert!(e.noise_std.unwrap() > 0.0);
+        assert_eq!(
+            e.epsilon_spent.unwrap(),
+            report.epsilon_trace[i],
+            "epoch {i}: epsilon_spent disagrees with the dp/epsilon trace"
+        );
+    }
+    assert_eq!(report.final_epsilon(), out.final_epsilon);
+
+    // One ledger record per noisy step, matching the trace.
+    assert_eq!(report.ledger.len(), cfg.iterations);
+    for (i, rec) in report.ledger.iter().enumerate() {
+        assert_eq!(rec.step, i as u64 + 1);
+        assert_eq!(rec.sigma, setup.sigma);
+        assert!((rec.epsilon_after - report.epsilon_trace[i]).abs() <= 1e-9);
+    }
+}
+
 // The ε budget guard: the halt must land exactly before the first
 // overspending step, carry the accountant's numbers bit-for-bit, leave
 // seeded outputs bit-identical with the watchdog armed, and refuse
