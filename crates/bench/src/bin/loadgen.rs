@@ -31,9 +31,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use privim_bench::{print_table, write_json_seeded};
+use privim_core::checkpoint::{CheckpointStore, TrainCheckpoint};
 use privim_datasets::paper::Dataset;
 use privim_graph::io;
 use privim_nn::models::{build_model, ModelKind};
+use privim_nn::optim::{Optimizer, Sgd};
 use privim_nn::serialize::Checkpoint;
 use privim_obs::json::{JsonValue, ToJson};
 use privim_serve::{App, AppConfig, HttpClient, Server, ServerConfig};
@@ -213,10 +215,20 @@ fn write_fixture(dir: &std::path::Path, scale: f64, seed: u64) -> AppConfig {
     let in_dim = 8;
     let mut rng = StdRng::seed_from_u64(seed);
     let model = build_model(ModelKind::GraphSage, in_dim, 16, 2, &mut rng);
-    let checkpoint_path = dir.join("model.json");
-    Checkpoint::capture(model.as_ref(), in_dim, 16, 2)
-        .save(&checkpoint_path)
-        .expect("save fixture checkpoint");
+    let checkpoint_path = dir.join("model.ckpt");
+    let released = TrainCheckpoint {
+        epoch: 0,
+        master_seed: seed,
+        config_crc: 0,
+        trace_id: 0,
+        model: Checkpoint::capture(model.as_ref(), in_dim, 16, 2),
+        optimizer: Sgd::new(0.02).snapshot(),
+        ledger: None,
+        losses: vec![],
+        clip_fractions: vec![],
+        split: None,
+    };
+    CheckpointStore::write(&checkpoint_path, &released).expect("save fixture checkpoint");
     AppConfig::new(
         graph_path.to_string_lossy().into_owned(),
         checkpoint_path.to_string_lossy().into_owned(),

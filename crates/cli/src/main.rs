@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use args::{Command, ObsArgs, USAGE};
+use privim_core::checkpoint::{CheckpointStore, SplitProvenance, TrainCheckpoint};
 use privim_core::config::PrivImConfig;
 use privim_datasets::split::NodeSplit;
 use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
@@ -154,7 +155,7 @@ fn run(command: Command) -> Result<(), String> {
             privim_obs::info!("run", "start", command = "generate", seed = a.seed);
             let g = a.dataset.generate(a.scale, a.seed);
             let stats = privim_graph::stats::graph_stats(&g);
-            save_graph(&g, &a.output)?;
+            io::save_graph(&g, &a.output).map_err(|e| e.to_string())?;
             console(format!(
                 "wrote {}: {} nodes, {} edges, avg degree {:.2}",
                 a.output, stats.num_nodes, stats.num_edges, stats.avg_degree
@@ -169,14 +170,14 @@ fn run(command: Command) -> Result<(), String> {
                 seed = a.seed,
                 method = a.method.name(),
             );
-            let g = load_graph(&a.graph)?;
+            let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
             // The split is the first draw from StdRng(a.seed); recording
             // (seed, fraction) in the checkpoint lets a later audit
             // reconstruct the exact train/test membership ground truth.
             let train_fraction = 0.5;
             let mut rng = StdRng::seed_from_u64(a.seed);
             let split = NodeSplit::random(&g, train_fraction, &mut rng);
-            let provenance = privim_core::checkpoint::SplitProvenance {
+            let provenance = SplitProvenance {
                 split_seed: a.seed,
                 train_fraction,
             };
@@ -192,7 +193,7 @@ fn run(command: Command) -> Result<(), String> {
                 learning_rate: 0.02,
                 ..PrivImConfig::default()
             };
-            let model = if a.resume.is_some() || a.checkpoint_dir.is_some() {
+            let released = if a.resume.is_some() || a.checkpoint_dir.is_some() {
                 train_crash_safe(&g, &a, &config, &split.train, provenance)?
             } else {
                 let result = privim_core::pipeline::run_method_with_candidates(
@@ -213,18 +214,22 @@ fn run(command: Command) -> Result<(), String> {
                         .map_or("- (non-private)".to_string(), |s| format!("{s:.3}")),
                 ));
                 console(format!("seeds: {:?}", result.seeds));
-                result.model
+                TrainCheckpoint {
+                    split: Some(provenance),
+                    ..result.model
+                }
             };
-            // The released model: the one whose seeds were just printed.
+            // The released model: the one whose seeds were just printed,
+            // with the ledger that accounts for it.
             if let Some(path) = &a.checkpoint {
-                model.save(path).map_err(|e| e.to_string())?;
+                CheckpointStore::write(path.as_ref(), &released).map_err(|e| e.to_string())?;
                 console(format!("checkpoint written to {path}"));
             }
             Ok(())
         }
         Command::Select(a) => {
-            let g = load_graph(&a.graph)?;
-            let cp = Checkpoint::load(&a.checkpoint).map_err(|e| e.to_string())?;
+            let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
+            let cp = load_model(&a.checkpoint)?;
             let model = cp.restore().map_err(|e| e.to_string())?;
             let gt = GraphTensors::with_structural_features(&g, cp.in_dim);
             let scores = model.seed_probabilities(&gt);
@@ -234,7 +239,7 @@ fn run(command: Command) -> Result<(), String> {
         }
         Command::Evaluate(a) => {
             privim_obs::info!("run", "start", command = "evaluate", seed = 7u64);
-            let g = load_graph(&a.graph)?;
+            let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
             for &s in &a.seeds {
                 if s as usize >= g.num_nodes() {
                     return Err(format!(
@@ -280,8 +285,10 @@ fn run(command: Command) -> Result<(), String> {
                 "  spent epsilon = {spent:.4} (optimal RDP order alpha = {alpha})"
             ));
             if let Some(path) = &a.checkpoint {
-                let cp = Checkpoint::load(path).map_err(|e| e.to_string())?;
-                console(format!("  checkpoint digest = {}", cp.digest_hex()));
+                console(format!(
+                    "  checkpoint digest = {}",
+                    load_model(path)?.digest_hex()
+                ));
             }
             Ok(())
         }
@@ -343,7 +350,7 @@ fn trace_view(a: &args::TraceViewArgs) -> Result<(), String> {
 /// byte-identical across runs with the same seed and inputs.
 fn audit(a: &args::AuditArgs) -> Result<(), String> {
     privim_obs::info!("run", "start", command = "audit", seed = a.seed);
-    let g = load_graph(&a.graph)?;
+    let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
     let cfg = privim_audit::AuditConfig {
         attack: match a.attack {
             args::AuditAttack::Membership => privim_audit::Attack::Membership,
@@ -505,7 +512,6 @@ fn follow_store(
     gate: &privim_serve::ReadyGate,
     stop: &std::sync::atomic::AtomicBool,
 ) -> Result<(), String> {
-    use privim_core::checkpoint::CheckpointStore;
     use std::sync::atomic::Ordering;
     use std::time::Duration;
 
@@ -540,11 +546,6 @@ fn follow_store(
                     let first = installed.is_none();
                     if first {
                         gate.install(Arc::new(app));
-                    } else {
-                        gate.swap(Arc::new(app));
-                        privim_obs::counter("serve.follow.swaps").add(1);
-                    }
-                    if first {
                         privim_obs::info!(
                             "serve",
                             "follow_installed",
@@ -552,6 +553,8 @@ fn follow_store(
                             digest = digest.clone(),
                         );
                     } else {
+                        gate.swap(Arc::new(app));
+                        privim_obs::counter("serve.follow.swaps").add(1);
                         privim_obs::info!(
                             "serve",
                             "follow_swapped",
@@ -698,18 +701,18 @@ fn chaos(a: &args::ChaosArgs) -> Result<(), String> {
 /// Crash-safe `train` variant behind `--checkpoint-dir` / `--resume`:
 /// atomic checkpoint generations every `--checkpoint-every` epochs, exact
 /// ledger-verified resume from the newest valid generation, and seed
-/// selection from the finished model, which it returns. `--resume`
-/// additionally refuses to start when the directory holds no valid
-/// generation — silently retraining from scratch would spend privacy
-/// budget the caller thinks was already spent.
+/// selection from the finished model. Returns the store's newest
+/// generation. `--resume` additionally refuses to start when the
+/// directory holds no valid generation — silently retraining from
+/// scratch would spend privacy budget the caller thinks was already
+/// spent.
 fn train_crash_safe(
     g: &Graph,
     a: &args::TrainArgs,
     config: &PrivImConfig,
     candidates: &[u32],
-    provenance: privim_core::checkpoint::SplitProvenance,
-) -> Result<Checkpoint, String> {
-    use privim_core::checkpoint::CheckpointStore;
+    provenance: SplitProvenance,
+) -> Result<TrainCheckpoint, String> {
     use privim_core::pipeline::{calibrate_for, extract_for};
     use privim_core::resume::{train_resumable, ResumeOptions};
 
@@ -815,27 +818,12 @@ fn train_crash_safe(
     let scores = outcome.model.seed_probabilities(&gt);
     let seeds = top_k_seeds(&scores, config.seed_size);
     console(format!("seeds: {seeds:?}"));
-    Ok(Checkpoint::capture(
-        outcome.model.as_ref(),
-        config.feature_dim,
-        config.hidden,
-        config.hops,
-    ))
+    Ok(outcome.checkpoint)
 }
 
-fn load_graph(path: &str) -> Result<Graph, String> {
-    if path.ends_with(".bin") {
-        return io::load_binary(path).map_err(|e| e.to_string());
-    }
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    io::read_edge_list_auto(&text, 1.0).map_err(|e| e.to_string())
-}
-
-fn save_graph(g: &Graph, path: &str) -> Result<(), String> {
-    if path.ends_with(".bin") {
-        io::save_binary(g, path).map_err(|e| e.to_string())
-    } else {
-        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        io::write_edge_list(g, file).map_err(|e| e.to_string())
-    }
+/// The released model in the checkpoint file at `path`.
+fn load_model(path: &str) -> Result<Checkpoint, String> {
+    CheckpointStore::load(path.as_ref())
+        .map(|ckpt| ckpt.model)
+        .map_err(|e| format!("cannot load checkpoint {path}: {e}"))
 }

@@ -176,3 +176,113 @@ fn crash_safe_train_resume_corrupt_cycle() {
     assert!(!ok, "resume from an empty directory must fail");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs the CLI in `dir`; returns (success, stderr).
+fn run_err(dir: &Path, args: &[&str]) -> (bool, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_privim"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn privim");
+    (
+        out.status.success(),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    )
+}
+
+#[test]
+fn resume_under_another_method_is_refused() {
+    // A run killed after generation 3 of a PrivIM* store, resumed with
+    // `--method egn`, used to train the rest on EGN's container and
+    // report ε above the calibrated 4.
+    let dir = workdir("method-resume");
+    let common = with(&TRAIN, &["--epsilon", "4", "--checkpoint-every", "1"]);
+    let (killed, _) = run(
+        &dir,
+        &with(
+            &common,
+            &[
+                "--checkpoint-dir",
+                "ckpts",
+                "--chaos-kill",
+                "checkpoint.write.mid:4",
+            ],
+        ),
+    );
+    assert!(!killed, "the armed kill must stop the run");
+    for method in ["egn", "hp", "privim"] {
+        let (ok, stderr) = run_err(
+            &dir,
+            &with(&common, &["--resume", "ckpts", "--method", method]),
+        );
+        assert!(!ok, "--method {method} must not resume a PrivIM* store");
+        assert!(stderr.contains("refusing to resume"), "{method}: {stderr}");
+    }
+    // The store is untouched by the refusals and still resumes under its
+    // own method.
+    let resumed = privim(&dir, &with(&common, &["--resume", "ckpts"]));
+    assert!(resumed.contains("resumed from epoch 3/6"), "{resumed}");
+    assert!(resumed.contains("epsilon spent 4.0000"), "{resumed}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn released_file_is_the_newest_generation_and_json_is_refused() {
+    let dir = workdir("pvck");
+    let args = with(
+        &TRAIN,
+        &[
+            "--epsilon",
+            "4",
+            "--checkpoint-every",
+            "1",
+            "--checkpoint-dir",
+            "ckpts",
+            "--checkpoint",
+            "safe.ckpt",
+        ],
+    );
+    privim(&dir, &args);
+    assert_eq!(
+        std::fs::read(dir.join("safe.ckpt")).unwrap(),
+        std::fs::read(dir.join("ckpts/gen-000006.ckpt")).unwrap(),
+        "--checkpoint must release the store's final generation byte for byte"
+    );
+
+    // A model file in the removed JSON layout is not a checkpoint.
+    std::fs::write(
+        dir.join("model.json"),
+        r#"{"hidden":16,"in_dim":8,"kind":"Grat","layers":2,"params":[]}"#,
+    )
+    .unwrap();
+    for args in [
+        &[
+            "select",
+            "--graph",
+            "g.bin",
+            "--k",
+            "5",
+            "--checkpoint",
+            "model.json",
+        ][..],
+        &["account", "--epsilon", "4", "--checkpoint", "model.json"][..],
+        &[
+            "serve",
+            "--graph",
+            "g.bin",
+            "--checkpoint",
+            "model.json",
+            "--addr",
+            "127.0.0.1:0",
+        ][..],
+    ] {
+        let (ok, stderr) = run_err(&dir, args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains("cannot load checkpoint model.json"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -7,14 +7,19 @@
 //! [`PrivacyLedger`] (whose accumulated γ vector *is* the RDP accountant
 //! state), and the loss history.
 //!
-//! [`CheckpointStore`] persists generations with the classic durable
-//! protocol: write to a temp file, `fsync`, atomically rename into
-//! place, `fsync` the directory, and only then prune old generations —
-//! the previous good checkpoint is never deleted before the new one is
-//! durable. Every file carries a versioned header with a CRC32 over the
-//! payload, so torn writes and bit rot are detected at load time and
-//! the store falls back to the newest older generation that still
-//! verifies.
+//! This is the one on-disk model format. A released model (`privim
+//! train --checkpoint`) is a full [`TrainCheckpoint`] too, so the file a
+//! server loads carries the ledger that accounts for its weights, and
+//! every reader decodes it through [`CheckpointStore::load`].
+//!
+//! Every file is written by [`CheckpointStore::write`] with the classic
+//! durable protocol: write to a temp file, `fsync`, atomically rename
+//! into place, `fsync` the directory. [`CheckpointStore`] writes its
+//! generations that way and only then prunes old ones — the previous
+//! good checkpoint is never deleted before the new one is durable.
+//! Every file carries a versioned header with a CRC32 over the payload,
+//! so torn writes and bit rot are detected at load time and the store
+//! falls back to the newest older generation that still verifies.
 //!
 //! The encoding is a hand-rolled little-endian binary format
 //! (`f64::to_bits`, length-prefixed sections): lossless, so restored
@@ -428,25 +433,18 @@ impl<'a> Reader<'a> {
             .checked_mul(cols)
             .filter(|&n| n.checked_mul(8).is_some_and(|b| b <= self.bytes.len()))
             .ok_or_else(|| corrupt(format!("implausible matrix shape {rows}x{cols}")))?;
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f64()?);
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
+        Ok(Matrix::from_vec(rows, cols, self.f64s(n)?))
+    }
+
+    /// `n` floats; `n` is already bounded by the input length, and a
+    /// short input fails at its first missing value.
+    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
+        (0..n).map(|_| self.f64()).collect()
     }
 
     fn f64_vec(&mut self) -> Result<Vec<f64>, CheckpointError> {
         let n = self.len_checked("f64 vec")?;
-        if n.checked_mul(8)
-            .is_none_or(|b| self.pos + b > self.bytes.len())
-        {
-            return Err(corrupt(format!("implausible f64 vec length {n}")));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        self.f64s(n)
     }
 }
 
@@ -478,12 +476,31 @@ impl CheckpointStore {
         self.dir.join(format!("gen-{epoch:06}.ckpt"))
     }
 
-    /// Durably writes `ckpt` as generation `ckpt.epoch`:
-    /// temp-write → `fsync` → rename → `fsync(dir)` → prune. A crash at
-    /// any instruction leaves either the previous generations untouched
-    /// (temp never renamed) or the new generation fully durable; the
-    /// previous good checkpoint is never deleted before then.
+    /// Durably writes `ckpt` as generation `ckpt.epoch` through
+    /// [`CheckpointStore::write`], then prunes: the previous good
+    /// checkpoint is never deleted before the new one is durable.
     pub fn save(&self, ckpt: &TrainCheckpoint) -> Result<PathBuf, CheckpointError> {
+        let final_path = self.gen_path(ckpt.epoch);
+        let bytes = Self::write(&final_path, ckpt)?;
+        privim_obs::counter("checkpoint.saved").add(1);
+        privim_obs::debug!(
+            "checkpoint",
+            "saved",
+            epoch = ckpt.epoch,
+            bytes = bytes,
+            path = final_path.display().to_string(),
+        );
+        self.prune()?;
+        Ok(final_path)
+    }
+
+    /// The one durable write path for checkpoint files, shared by store
+    /// generations and the released model file: temp-write (as
+    /// `.NAME.tmp` next to `path`) → `fsync` → rename → `fsync(dir)`. A
+    /// crash at any instruction leaves either the old `path` untouched
+    /// (temp never renamed) or the new file fully durable. Returns the
+    /// file's length in bytes.
+    pub fn write(path: &Path, ckpt: &TrainCheckpoint) -> Result<usize, CheckpointError> {
         privim_obs::fault_point("checkpoint.write.pre").map_err(CheckpointError::from)?;
         let payload = ckpt.to_bytes();
         let mut header = Vec::with_capacity(HEADER_LEN);
@@ -492,15 +509,24 @@ impl CheckpointStore {
         header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         header.extend_from_slice(&crc32(&payload).to_le_bytes());
 
-        let final_path = self.gen_path(ckpt.epoch);
-        let tmp_path = self.dir.join(format!(".gen-{:06}.ckpt.tmp", ckpt.epoch));
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        let name = path.file_name().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} names no file", path.display()),
+            )
+        })?;
+        let tmp_path = dir.join(format!(".{}.tmp", name.to_string_lossy()));
         {
             let mut f = std::fs::File::create(&tmp_path)?;
             f.write_all(&header)?;
             let half = payload.len() / 2;
             f.write_all(&payload[..half])?;
             // A kill here leaves a torn temp file that is never renamed:
-            // the on-disk generations are untouched, exactly like a real
+            // the file at `path` is untouched, exactly like a real
             // SIGKILL mid-write.
             privim_obs::fault_point("checkpoint.write.mid").map_err(CheckpointError::from)?;
             f.write_all(&payload[half..])?;
@@ -511,22 +537,13 @@ impl CheckpointStore {
         // rename and only the CRC at load time can catch it.
         privim_obs::fault_point_file("checkpoint.write.pre_rename", &tmp_path)
             .map_err(CheckpointError::from)?;
-        std::fs::rename(&tmp_path, &final_path)?;
+        std::fs::rename(&tmp_path, path)?;
         let post_rename = privim_obs::fault_point("checkpoint.write.post_rename");
-        sync_dir(&self.dir)?;
+        sync_dir(dir)?;
         // The kill is honored only after the rename itself is on disk —
-        // the new generation is durable, old ones were not yet pruned.
+        // the new file is durable, old generations were not yet pruned.
         post_rename.map_err(CheckpointError::from)?;
-        privim_obs::counter("checkpoint.saved").add(1);
-        privim_obs::debug!(
-            "checkpoint",
-            "saved",
-            epoch = ckpt.epoch,
-            bytes = payload.len() + HEADER_LEN,
-            path = final_path.display().to_string(),
-        );
-        self.prune()?;
-        Ok(final_path)
+        Ok(HEADER_LEN + payload.len())
     }
 
     /// All generations on disk, ascending by epoch. Temp files and
@@ -643,7 +660,7 @@ pub(crate) mod tests {
     use privim_nn::optim::{Adam, Optimizer, Sgd};
     use privim_obs::{clear_fault_plan, set_fault_plan, FaultAction, FaultPlan};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::{Mutex, MutexGuard};
 
     /// The fault plan is process-global: a plan one test arms fires on any
@@ -900,6 +917,117 @@ pub(crate) mod tests {
             Err(CheckpointError::Io(_))
         ));
         clear_fault_plan();
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// Points the header of a (possibly mutated) file at its current
+    /// payload, so the mutation gets past the length and CRC checks and
+    /// reaches the structural decoder.
+    fn restamp(file: &mut [u8]) {
+        if file.len() >= HEADER_LEN {
+            let payload_len = (file.len() - HEADER_LEN) as u64;
+            let crc = crc32(&file[HEADER_LEN..]);
+            file[8..16].copy_from_slice(&payload_len.to_le_bytes());
+            file[16..20].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn loader_fuzz_never_panics() {
+        // Seeded fuzz of the PVCK loader over real files: flipped bytes,
+        // extreme length fields, cuts, splices and forged versions, half
+        // of them with the header re-stamped. `load` and then `restore`
+        // and a forward pass must return, never panic.
+        let _g = fault_lock();
+        let store = tmp_store("fuzz", 8);
+        let mut sgd = sample_checkpoint(2);
+        sgd.optimizer = Sgd::new(0.3).snapshot();
+        sgd.ledger = None;
+        sgd.split = None;
+        let mut grat = sample_checkpoint(3);
+        let mut rng = StdRng::seed_from_u64(3);
+        let model = build_model(ModelKind::Grat, 3, 4, 3, &mut rng);
+        grat.model = ModelCheckpoint::capture(model.as_ref(), 3, 4, 3);
+        let files: Vec<Vec<u8>> = [sample_checkpoint(1), sgd, grat]
+            .iter()
+            .map(|c| std::fs::read(store.save(c).unwrap()).unwrap())
+            .collect();
+        let mut b = privim_graph::GraphBuilder::new(4);
+        for i in 0..3 {
+            b.add_edge(i, i + 1, 0.5);
+        }
+        let graph = b.build();
+        let target = store.dir().join("fuzz.ckpt");
+        let mut rng = StdRng::seed_from_u64(0xF022);
+        let (mut decoded, mut restored) = (0, 0);
+        for case in 0..1500 {
+            let mut file = files[case % files.len()].clone();
+            let len = file.len();
+            match rng.gen_range(0..5usize) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..5usize) {
+                        file[rng.gen_range(0..len)] ^= 1 << rng.gen_range(0..8u32);
+                    }
+                }
+                1 => {
+                    let extreme = [0, 1, u64::MAX, 1 << 40, len as u64][rng.gen_range(0..5usize)];
+                    let at = rng.gen_range(HEADER_LEN..len - 8);
+                    file[at..at + 8].copy_from_slice(&extreme.to_le_bytes());
+                }
+                2 => file.truncate(rng.gen_range(0..len)),
+                3 => {
+                    let at = rng.gen_range(0..len);
+                    let other = &files[rng.gen_range(0..files.len())];
+                    let from = rng.gen_range(0..other.len());
+                    file.splice(at.., other[from..].iter().copied());
+                }
+                _ => file[4..8].copy_from_slice(&rng.gen_range(0..5u32).to_le_bytes()),
+            }
+            if case % 2 == 0 {
+                restamp(&mut file);
+            }
+            std::fs::write(&target, &file).unwrap();
+            let Ok(ckpt) = CheckpointStore::load(&target) else {
+                continue;
+            };
+            decoded += 1;
+            if let Ok(model) = ckpt.model.restore() {
+                let gt = privim_nn::graph_tensors::GraphTensors::with_structural_features(
+                    &graph,
+                    ckpt.model.in_dim,
+                );
+                let _ = model.seed_probabilities(&gt);
+                restored += 1;
+            }
+        }
+        // Weight flips and forged version bytes decode; so must some
+        // mutations of every source file.
+        assert!(
+            decoded > 100 && restored > 100,
+            "{decoded} decoded, {restored} restored"
+        );
+
+        // Inputs that are not PVCK files at all.
+        let mut other_magic = files[0].clone();
+        other_magic[..4].copy_from_slice(b"PVIM");
+        let json_model = br#"{"hidden":8,"in_dim":4,"kind":"Gcn","layers":2,"params":[]}"#;
+        for bytes in [
+            &b""[..],
+            b"PVCK",
+            &files[0][..HEADER_LEN],
+            &other_magic,
+            json_model,
+        ] {
+            std::fs::write(&target, bytes).unwrap();
+            assert!(
+                matches!(
+                    CheckpointStore::load(&target),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "{:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

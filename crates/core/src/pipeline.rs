@@ -29,10 +29,12 @@ use privim_nn::serialize::Checkpoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::checkpoint::TrainCheckpoint;
 use crate::config::PrivImConfig;
 use crate::container::{SubgraphContainer, SubgraphSample};
+use crate::resume::config_digest;
 use crate::sampling::{extract_dual_stage, extract_naive, extract_unconstrained, freq_sampling};
-use crate::train::{train, NoiseKind, PrivacySetup, TrainReport};
+use crate::train::{train, EpochState, NoiseKind, PrivacySetup};
 
 /// One of the evaluated methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,9 +119,11 @@ pub struct PipelineResult {
     pub sigma: Option<f64>,
     /// Final training loss.
     pub final_loss: f64,
-    /// The trained model the seeds were selected with: the one model
-    /// this run releases.
-    pub model: Checkpoint,
+    /// The trained model the seeds were selected with, with its exact
+    /// ledger and optimizer state: the one model this run releases.
+    /// `master_seed` is the run seed, `config_crc` the
+    /// [`config_digest`], and `trace_id` and `split` are unset.
+    pub model: TrainCheckpoint,
 }
 
 /// Runs `method` on `g` with `config`, deterministically from `seed`.
@@ -179,7 +183,7 @@ pub fn run_method_with_candidates(
         &mut rng,
     );
     let report = if container.is_empty() {
-        TrainReport::default()
+        EpochState::fresh(config, None).report(std::time::Instant::now(), None)
     } else {
         train(
             model.as_mut(),
@@ -222,12 +226,23 @@ pub fn run_method_with_candidates(
         occurrence_bound,
         sigma: report.sigma,
         final_loss: *report.losses.last().unwrap_or(&f64::NAN),
-        model: Checkpoint::capture(
-            model.as_ref(),
-            config.feature_dim,
-            config.hidden,
-            config.hops,
-        ),
+        model: TrainCheckpoint {
+            epoch: report.losses.len() as u64,
+            master_seed: seed,
+            config_crc: config_digest(config),
+            trace_id: 0,
+            model: Checkpoint::capture(
+                model.as_ref(),
+                config.feature_dim,
+                config.hidden,
+                config.hops,
+            ),
+            optimizer: report.optimizer,
+            ledger: report.ledger,
+            losses: report.losses,
+            clip_fractions: report.clip_fractions,
+            split: None,
+        },
     }
 }
 
@@ -450,6 +465,37 @@ mod tests {
         let r = run_method(&graph(1), Method::PrivImStar, &fast_config(), 7);
         assert_eq!(r.seeds, [43, 138, 247, 57, 186, 207, 64, 180, 205, 217]);
         assert_eq!(r.spread.to_bits(), 4630685579355357184);
+    }
+
+    #[test]
+    fn released_model_carries_its_exact_ledger() {
+        let g = graph(1);
+        let cfg = fast_config();
+        for method in [Method::PrivImStar, Method::Hp, Method::NonPrivate] {
+            let r = run_method(&g, method, &cfg, 7);
+            let released = &r.model;
+            assert_eq!(released.epoch, cfg.iterations as u64, "{method}");
+            assert_eq!(released.master_seed, 7);
+            assert_eq!(released.config_crc, config_digest(&cfg));
+            assert_eq!((released.trace_id, released.split), (0, None));
+            assert_eq!(released.model.kind, method.model_kind(cfg.model));
+            match (&released.ledger, r.sigma) {
+                (Some(ledger), Some(sigma)) => {
+                    assert_eq!(ledger.entries().len(), cfg.iterations, "{method}");
+                    assert!(ledger.entries().iter().all(|e| e.sigma == sigma));
+                    ledger.verify_replay(1e-9).unwrap();
+                }
+                (None, None) => {}
+                other => panic!("{method}: ledger and σ disagree: {other:?}"),
+            }
+            // The released file decodes to the same model and ledger.
+            let back = TrainCheckpoint::from_bytes(&released.to_bytes()).unwrap();
+            assert_eq!(back.model.digest(), released.model.digest());
+            assert_eq!(
+                back.ledger.map(|l| l.entries().to_vec()),
+                released.ledger.as_ref().map(|l| l.entries().to_vec())
+            );
+        }
     }
 
     #[test]

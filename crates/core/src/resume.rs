@@ -17,14 +17,16 @@
 //! entries alone and must match every recorded cumulative ε within
 //! 1e-9, and the accountant reconstructed from the restored γ state must
 //! convert to the recorded final ε bit-for-bit. A checkpoint that fails
-//! either check — or whose configuration digest disagrees — is refused
-//! with a typed error rather than silently mis-accounting the budget.
+//! either check — or whose configuration digest, model kind or recorded
+//! mechanism (noise family, σ, δ, N_g, B, m) disagrees with the run's —
+//! is refused with a typed error rather than silently mis-accounting
+//! the budget.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use privim_dp::budget::BudgetGuard;
-use privim_dp::ledger::PrivacyLedger;
+use privim_dp::ledger::{LedgerEntry, PrivacyLedger};
 use privim_nn::models::{build_model, GnnModel, ModelKind};
 use privim_obs::fault::splitmix64;
 
@@ -57,6 +59,19 @@ pub enum ResumeError {
     },
     /// The restored ledger failed exact ε re-verification.
     LedgerMismatch(String),
+    /// The checkpoint holds a different model architecture than the run
+    /// trains (it was written by another method or model choice).
+    ModelMismatch {
+        /// The architecture this run trains.
+        expected: ModelKind,
+        /// The architecture stored in the checkpoint.
+        found: ModelKind,
+    },
+    /// The restored ledger recorded a different mechanism (noise family,
+    /// σ, δ, N_g, B or m) than this run's calibration and container.
+    /// Continuing would account the remaining steps under a mechanism
+    /// the spent ones never ran, and overspend the calibrated ε.
+    MechanismMismatch(String),
 }
 
 impl std::fmt::Display for ResumeError {
@@ -73,6 +88,16 @@ impl std::fmt::Display for ResumeError {
             ResumeError::LedgerMismatch(msg) => {
                 write!(f, "restored privacy ledger failed verification: {msg}")
             }
+            ResumeError::ModelMismatch { expected, found } => write!(
+                f,
+                "checkpoint holds a {found} model but this run trains {expected}; \
+                 refusing to resume"
+            ),
+            ResumeError::MechanismMismatch(msg) => write!(
+                f,
+                "checkpoint's privacy ledger was recorded under a different mechanism \
+                 ({msg}); refusing to resume"
+            ),
         }
     }
 }
@@ -168,6 +193,9 @@ pub struct ResumableOutcome {
     /// Set when the ε budget guard halted the run before completing all
     /// configured iterations.
     pub budget_halt: Option<BudgetHalt>,
+    /// The final state as a checkpoint: the newest generation in the
+    /// store, and the model file the run releases.
+    pub checkpoint: TrainCheckpoint,
 }
 
 /// Digest of the configuration a checkpoint belongs to. The `Debug`
@@ -204,6 +232,33 @@ fn verify_restored_ledger(ledger: &PrivacyLedger) -> Result<(), ResumeError> {
     Ok(())
 }
 
+/// Refuses a restored ledger whose steps ran another mechanism than
+/// `setup` over a container of `container_size` subgraphs: the
+/// configuration digest does not cover the method, and the method picks
+/// the container, `N_g` and the noise family.
+fn verify_mechanism(
+    ledger: &PrivacyLedger,
+    setup: &PrivacySetup,
+    config: &PrivImConfig,
+    container_size: usize,
+) -> Result<(), ResumeError> {
+    let run = (
+        setup.mechanism(),
+        setup.sigma,
+        setup.delta,
+        setup.subsampled_config(config, container_size),
+    );
+    let recorded = |e: &LedgerEntry| (e.mechanism, e.sigma, e.delta, e.config);
+    match ledger.entries().iter().find(|e| recorded(e) != run) {
+        None => Ok(()),
+        Some(e) => Err(ResumeError::MechanismMismatch(format!(
+            "step {} recorded (mechanism, σ, δ, (N_g, B, m)) = {:?}, this run {run:?}",
+            e.step,
+            recorded(e)
+        ))),
+    }
+}
+
 /// Fresh per-epoch RNG streams derived from the master seed: each
 /// epoch's randomness depends only on `(master_seed, epoch)`, never on
 /// how many times the process died on the way there.
@@ -235,14 +290,14 @@ pub(crate) struct Cadence<'a> {
 }
 
 impl Cadence<'_> {
-    /// Writes one generation holding `model` and `state`.
-    pub fn save(
+    /// The generation holding `model` and `state`.
+    pub fn checkpoint(
         &self,
         model: &dyn GnnModel,
         state: &EpochState,
         config: &PrivImConfig,
-    ) -> Result<(), CheckpointError> {
-        self.store.save(&TrainCheckpoint {
+    ) -> TrainCheckpoint {
+        TrainCheckpoint {
             epoch: state.epoch,
             master_seed: self.master_seed,
             config_crc: self.config_crc,
@@ -258,8 +313,7 @@ impl Cadence<'_> {
             losses: state.losses.clone(),
             clip_fractions: state.clip_fractions.clone(),
             split: self.split,
-        })?;
-        Ok(())
+        }
     }
 }
 
@@ -319,6 +373,15 @@ pub fn train_resumable(
                 return Err(ResumeError::LedgerMismatch(
                     "privacy mode differs between run and checkpoint".into(),
                 ));
+            }
+            if ckpt.model.kind != kind {
+                return Err(ResumeError::ModelMismatch {
+                    expected: kind,
+                    found: ckpt.model.kind,
+                });
+            }
+            if let (Some(setup), Some(ledger)) = (privacy, &ckpt.ledger) {
+                verify_mechanism(ledger, setup, config, container.len())?;
             }
             let model = ckpt
                 .model
@@ -387,6 +450,7 @@ pub fn train_resumable(
     }
 
     Ok(ResumableOutcome {
+        checkpoint: cadence.checkpoint(model.as_ref(), &state, config),
         trace_id: run_ctx.trace_id,
         final_epsilon: state.ledger.as_ref().and_then(|l| l.cumulative_epsilon()),
         report: state.report(started, privacy),
@@ -529,6 +593,63 @@ mod tests {
             ),
             Err(ResumeError::ConfigMismatch { .. })
         ));
+        std::fs::remove_dir_all(st.dir()).ok();
+    }
+
+    #[test]
+    fn another_model_or_mechanism_is_refused() {
+        // The configuration digest does not cover the method, which picks
+        // the architecture, the container, N_g and the noise family; a
+        // resume under another one must be refused, not overspend ε.
+        let _g = crate::checkpoint::tests::fault_lock();
+        let (container, cfg) = setup(4);
+        let st = store("mechanism");
+        let calibrate = |m: usize, n_g: usize, noise: NoiseKind| {
+            PrivacySetup::calibrate(3.0, 1e-4, &cfg, m, n_g, noise)
+        };
+        let private = calibrate(container.len(), 4, NoiseKind::Gaussian);
+        let run = |kind: ModelKind, container: &SubgraphContainer, privacy: &PrivacySetup| {
+            train_resumable(
+                kind,
+                container,
+                &cfg,
+                Some(privacy),
+                7,
+                &st,
+                ResumeOptions::default(),
+            )
+        };
+        let first = run(ModelKind::Gcn, &container, &private).unwrap();
+        assert!(matches!(
+            run(ModelKind::Grat, &container, &private),
+            Err(ResumeError::ModelMismatch {
+                expected: ModelKind::Grat,
+                found: ModelKind::Gcn,
+            })
+        ));
+        let (other, _) = setup(5);
+        assert_ne!(other.len(), container.len());
+        for (container, privacy) in [
+            (
+                &container,
+                calibrate(container.len(), 5, NoiseKind::Gaussian),
+            ),
+            (
+                &container,
+                calibrate(container.len(), 4, NoiseKind::SymmetricLaplace),
+            ),
+            (&other, calibrate(other.len(), 4, NoiseKind::Gaussian)),
+        ] {
+            let refused = run(ModelKind::Gcn, container, &privacy);
+            assert!(
+                matches!(refused, Err(ResumeError::MechanismMismatch(_))),
+                "{privacy:?}"
+            );
+        }
+        // The run's own method still resumes, to the same model.
+        let again = run(ModelKind::Gcn, &container, &private).unwrap();
+        assert_eq!(again.resumed_from, Some(cfg.iterations as u64));
+        assert_eq!(weights(first.model.as_ref()), weights(again.model.as_ref()));
         std::fs::remove_dir_all(st.dir()).ok();
     }
 

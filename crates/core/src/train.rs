@@ -15,7 +15,7 @@ use privim_dp::ledger::{MechanismKind, PrivacyLedger};
 use privim_dp::mechanisms::{gaussian, symmetric_multivariate_laplace};
 use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
 use privim_nn::models::GnnModel;
-use privim_nn::optim::{Optimizer, Sgd};
+use privim_nn::optim::{Optimizer, OptimizerSnapshot, Sgd};
 use privim_nn::params::GradVec;
 use privim_nn::tape::Tape;
 
@@ -71,6 +71,14 @@ impl PrivacySetup {
             noise,
             target_epsilon: epsilon,
             delta,
+        }
+    }
+
+    /// The ledger's name for this setup's noise family.
+    pub fn mechanism(&self) -> MechanismKind {
+        match self.noise {
+            NoiseKind::Gaussian => MechanismKind::SubsampledGaussian,
+            NoiseKind::SymmetricLaplace => MechanismKind::SubsampledSml,
         }
     }
 
@@ -138,7 +146,7 @@ impl From<privim_obs::FaultSignal> for TrainError {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Mean batch loss per iteration.
     pub losses: Vec<f64>,
@@ -149,6 +157,11 @@ pub struct TrainReport {
     pub training_secs: f64,
     /// σ used (None for non-private runs).
     pub sigma: Option<f64>,
+    /// The exact privacy ledger, one entry per noisy step (None for
+    /// non-private runs).
+    pub ledger: Option<PrivacyLedger>,
+    /// The optimizer's final state.
+    pub optimizer: OptimizerSnapshot,
 }
 
 /// Outcome of one [`dp_step`] invocation.
@@ -395,6 +408,8 @@ impl EpochState {
             clip_fractions: self.clip_fractions,
             training_secs: started.elapsed().as_secs_f64(),
             sigma: privacy.map(|p| p.sigma),
+            ledger: self.ledger,
+            optimizer: self.optimizer.snapshot(),
         }
     }
 }
@@ -515,12 +530,9 @@ pub(crate) fn run_epochs<S: EpochRng>(
             match (privacy, &sub, state.ledger.as_mut()) {
                 (Some(setup), Some(sub), Some(ledger)) => {
                     privim_obs::histogram("train.clip_fraction").record(stats.clip_fraction);
-                    let mechanism = match setup.noise {
-                        NoiseKind::Gaussian => MechanismKind::SubsampledGaussian,
-                        NoiseKind::SymmetricLaplace => MechanismKind::SubsampledSml,
-                    };
                     let sensitivity = config.clip_bound * setup.max_occurrences as f64;
-                    let (eps, alpha) = ledger.record_step(mechanism, setup.sigma, sensitivity, sub);
+                    let (eps, alpha) =
+                        ledger.record_step(setup.mechanism(), setup.sigma, sensitivity, sub);
                     privim_obs::watch::observe("dp.epsilon_spent", epoch, eps);
                     privim_obs::info!(
                         "train",
@@ -548,7 +560,7 @@ pub(crate) fn run_epochs<S: EpochRng>(
         state.epoch = epoch + 1;
         if let Some(c) = cadence {
             if state.epoch.is_multiple_of(c.every) || state.epoch == config.iterations as u64 {
-                c.save(model, state, config)?;
+                c.store.save(&c.checkpoint(model, state, config))?;
                 durable = Some(state.epoch);
             }
         }
@@ -559,7 +571,7 @@ pub(crate) fn run_epochs<S: EpochRng>(
     // (as on an immediate resume refusal).
     if let (Some(c), Some(h)) = (cadence, &budget_halt) {
         if durable != Some(h.epoch) {
-            c.save(model, state, config)?;
+            c.store.save(&c.checkpoint(model, state, config))?;
         }
     }
     Ok(budget_halt)

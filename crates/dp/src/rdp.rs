@@ -216,13 +216,6 @@ impl RdpAccountant {
         }
     }
 
-    /// Adds a generic `(α, γ(α))`-RDP mechanism given its γ curve.
-    pub fn compose_curve(&mut self, gamma_at: impl Fn(f64) -> f64) {
-        for (gamma, &alpha) in self.gammas.iter_mut().zip(&self.orders) {
-            *gamma += gamma_at(alpha);
-        }
-    }
-
     /// Best `ε` at the given `δ`, minimizing Theorem 1 over the α grid.
     /// Returns `(epsilon, best_alpha)`.
     pub fn epsilon(&self, delta: f64) -> (f64, f64) {

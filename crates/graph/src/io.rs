@@ -204,6 +204,27 @@ pub fn load_binary<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
     decode_binary(&bytes)
 }
 
+/// Reads a graph file, choosing the format by name: `.bin` is the
+/// binary format, anything else a whitespace edge list read by
+/// [`read_edge_list_auto`] with missing weights 1.0.
+pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError> {
+    let path = path.as_ref();
+    if path.extension().is_some_and(|ext| ext == "bin") {
+        return load_binary(path);
+    }
+    read_edge_list_auto(&std::fs::read_to_string(path)?, 1.0)
+}
+
+/// Writes a graph file in the format [`load_graph`] reads back from the
+/// same name.
+pub fn save_graph<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphError> {
+    let path = path.as_ref();
+    if path.extension().is_some_and(|ext| ext == "bin") {
+        return save_binary(g, path);
+    }
+    write_edge_list(g, std::fs::File::create(path)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +244,27 @@ mod tests {
         write_edge_list(&g, &mut buf).unwrap();
         let back = read_edge_list(&buf[..], 4, 1.0).unwrap();
         assert_eq!(g, back);
+    }
+
+    #[test]
+    fn graph_files_pick_their_format_by_name() {
+        let g = sample();
+        let dir = std::env::temp_dir().join(format!("privim-graph-files-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["g.bin", "g.txt"] {
+            let path = dir.join(name);
+            save_graph(&g, &path).unwrap();
+            assert_eq!(load_graph(&path).unwrap(), g, "{name}");
+        }
+        let bytes = std::fs::read(dir.join("g.bin")).unwrap();
+        assert!(bytes.starts_with(MAGIC));
+        let text = std::fs::read_to_string(dir.join("g.txt")).unwrap();
+        assert_eq!(read_edge_list_auto(&text, 1.0).unwrap(), g);
+        assert!(matches!(
+            load_graph(dir.join("missing.bin")),
+            Err(GraphError::Io(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -136,6 +136,31 @@ fn layer_dims(in_dim: usize, hidden: usize, layers: usize) -> Vec<usize> {
     dims
 }
 
+/// A lower bound on the number of weights `build_model(kind, in_dim,
+/// hidden, layers ≥ 1)` allocates: every layer of the [`layer_dims`]
+/// chain holds at least its weight matrix (GraphSAGE's input is doubled,
+/// GIN's inner MLP is `d_in → max(d_in, d_out) → d_out`). Closed form,
+/// so absurd declared dims cost nothing to check; `None` on overflow.
+pub(crate) fn min_weights(
+    kind: ModelKind,
+    in_dim: usize,
+    hidden: usize,
+    layers: usize,
+) -> Option<usize> {
+    let layer = |d_in: usize, d_out: usize| match kind {
+        ModelKind::GraphSage => d_in.checked_mul(d_out)?.checked_mul(2),
+        ModelKind::Gin => (d_in.checked_add(d_out)?).checked_mul(d_in.max(d_out)),
+        _ => d_in.checked_mul(d_out),
+    };
+    if layers == 1 {
+        return layer(in_dim, 1);
+    }
+    layer(hidden, hidden)?
+        .checked_mul(layers - 2)?
+        .checked_add(layer(in_dim, hidden)?)?
+        .checked_add(layer(hidden, 1)?)
+}
+
 /// Indices of one linear layer's weight and bias in a [`ParamSet`].
 #[derive(Debug, Clone, Copy)]
 struct Linear {

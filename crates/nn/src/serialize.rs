@@ -1,23 +1,21 @@
-//! Model checkpointing.
+//! Model snapshots.
 //!
-//! Serializes a trained model's parameters (plus the architecture metadata
-//! needed to rebuild it) to JSON. Publishing a checkpoint of a DP-trained
-//! model is safe post-processing: the privacy guarantee covers the
-//! parameters themselves.
+//! A [`Checkpoint`] is the in-memory snapshot of a trained model: its
+//! parameters plus the architecture metadata needed to rebuild it.
+//! Publishing a DP-trained model is safe post-processing: the privacy
+//! guarantee covers the parameters themselves.
 //!
-//! The model file is `{"kind": "Grat", "in_dim", "hidden", "layers",
-//! "params": [[name, {"rows", "cols", "data": [...]}], ...]}`: `kind` is
-//! the variant name and each parameter a `[name, matrix]` pair. Files
-//! written by earlier releases have this shape and still load.
-
-use privim_obs::json::{self, object, JsonValue, ToJson};
-use std::path::Path;
+//! This module holds no file format. On disk a model always travels
+//! inside a CRC-checked `privim_core::checkpoint::TrainCheckpoint` (a
+//! PVCK file), next to the privacy ledger that accounts for it; the
+//! decoder there calls [`Checkpoint::validate`] before anything is
+//! rebuilt.
 
 use crate::matrix::Matrix;
-use crate::models::{build_model, GnnModel, ModelKind};
+use crate::models::{build_model, min_weights, GnnModel, ModelKind};
 use crate::params::ParamSet;
 
-/// A serializable snapshot of a trained model.
+/// A snapshot of a trained model.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Architecture.
@@ -32,13 +30,9 @@ pub struct Checkpoint {
     pub params: Vec<(String, Matrix)>,
 }
 
-/// Errors from loading a checkpoint.
+/// Errors from validating or restoring a snapshot.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// Malformed JSON, or JSON that is not a model file.
-    Parse(String),
     /// The stored parameters do not fit the declared architecture.
     Shape(String),
 }
@@ -46,8 +40,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::Io(e) => write!(f, "i/o error: {e}"),
-            CheckpointError::Parse(e) => write!(f, "parse error: {e}"),
             CheckpointError::Shape(msg) => write!(f, "shape mismatch: {msg}"),
         }
     }
@@ -84,14 +76,23 @@ impl Checkpoint {
 
     /// Structural validation of untrusted checkpoint contents: the
     /// declared architecture must be buildable (`layers ≥ 1`, nonzero
-    /// dims) and every weight finite. (A stored matrix whose payload
-    /// length disagrees with its declared shape is already a parse
-    /// error in [`Checkpoint::load`].)
+    /// dims), must not need more weights than the snapshot stores, and
+    /// every weight must be finite. The size bound caps what
+    /// [`Checkpoint::restore`] allocates by the size of the input, so a
+    /// small file cannot declare a huge model.
     pub fn validate(&self) -> Result<(), CheckpointError> {
         if self.layers == 0 || self.in_dim == 0 || self.hidden == 0 {
             return Err(CheckpointError::Shape(format!(
                 "unbuildable architecture: in_dim {}, hidden {}, layers {}",
                 self.in_dim, self.hidden, self.layers
+            )));
+        }
+        let stored: usize = self.params.iter().map(|(_, v)| v.data().len()).sum();
+        let needed = min_weights(self.kind, self.in_dim, self.hidden, self.layers);
+        if needed.is_none_or(|needed| needed > stored) {
+            return Err(CheckpointError::Shape(format!(
+                "{} with in_dim {}, hidden {}, layers {} needs more weights than the {stored} stored",
+                self.kind, self.in_dim, self.hidden, self.layers
             )));
         }
         for (name, value) in &self.params {
@@ -106,10 +107,9 @@ impl Checkpoint {
 
     /// A stable 64-bit FNV-1a digest over the checkpoint's semantic
     /// content: architecture metadata, parameter names, and the exact
-    /// bit patterns of every weight. Independent of the JSON rendering
-    /// (whitespace, float formatting, field order), so the same trained
-    /// model always digests identically no matter how it was persisted.
-    /// Audit artifacts key on it, and it is the checkpoint half of the
+    /// bit patterns of every weight. Independent of any file encoding, so
+    /// the same trained model always digests identically no matter how
+    /// it was persisted. Audit artifacts key on it, and it is the checkpoint half of the
     /// serve tier's (checkpoint digest, graph digest, k) cache key.
     pub fn digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -143,92 +143,6 @@ impl Checkpoint {
     pub fn digest_hex(&self) -> String {
         format!("{:016x}", self.digest())
     }
-
-    /// Writes the checkpoint as JSON.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.to_json_value().to_json()).map_err(CheckpointError::Io)
-    }
-
-    /// Reads a checkpoint from JSON, validating the payload against the
-    /// declared shapes before handing it out.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, CheckpointError> {
-        let text = std::fs::read_to_string(path).map_err(CheckpointError::Io)?;
-        let value = json::parse(&text).map_err(CheckpointError::Parse)?;
-        let checkpoint = Checkpoint::from_json(&value).map_err(CheckpointError::Parse)?;
-        checkpoint.validate()?;
-        Ok(checkpoint)
-    }
-
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let obj = json::expect_object(value, "checkpoint")?;
-        let kind = json::field(obj, "kind")?;
-        let kind = ModelKind::ALL
-            .into_iter()
-            .find(|k| kind.as_str() == Some(&format!("{k:?}")))
-            .ok_or_else(|| format!("unknown model kind {}", kind.to_json()))?;
-        let params = json::field(obj, "params")?
-            .as_array()
-            .ok_or("`params` must be an array")?
-            .iter()
-            .map(param_from_json)
-            .collect::<Result<_, String>>()?;
-        Ok(Checkpoint {
-            kind,
-            in_dim: json::uint(json::field(obj, "in_dim")?, "in_dim")?,
-            hidden: json::uint(json::field(obj, "hidden")?, "hidden")?,
-            layers: json::uint(json::field(obj, "layers")?, "layers")?,
-            params,
-        })
-    }
-}
-
-/// `kind` is the variant name (`"Grat"`), as earlier releases wrote it.
-impl ToJson for Checkpoint {
-    fn to_json_value(&self) -> JsonValue {
-        let params = self.params.iter().map(|(name, m)| {
-            let matrix = object([
-                ("rows", m.rows().to_json_value()),
-                ("cols", m.cols().to_json_value()),
-                ("data", m.data().to_json_value()),
-            ]);
-            JsonValue::Arr(vec![name.to_json_value(), matrix])
-        });
-        object([
-            ("kind", JsonValue::Str(format!("{:?}", self.kind))),
-            ("in_dim", self.in_dim.to_json_value()),
-            ("hidden", self.hidden.to_json_value()),
-            ("layers", self.layers.to_json_value()),
-            ("params", JsonValue::Arr(params.collect())),
-        ])
-    }
-}
-
-/// One `[name, {rows, cols, data}]` pair. A payload whose length is not
-/// `rows × cols` is rejected here, before any indexing trusts the shape.
-fn param_from_json(value: &JsonValue) -> Result<(String, Matrix), String> {
-    let (name, matrix) = match value.as_array() {
-        Some([JsonValue::Str(name), matrix]) => (name, matrix),
-        _ => return Err("each parameter must be a [name, matrix] pair".into()),
-    };
-    let obj = json::expect_object(matrix, name)?;
-    let rows: usize = json::uint(json::field(obj, "rows")?, "rows")?;
-    let cols: usize = json::uint(json::field(obj, "cols")?, "cols")?;
-    let data = json::field(obj, "data")?
-        .as_array()
-        .ok_or_else(|| format!("{name}: `data` must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("{name}: weights must be numbers"))
-        })
-        .collect::<Result<Vec<f64>, String>>()?;
-    if rows.checked_mul(cols) != Some(data.len()) {
-        return Err(format!(
-            "{name}: declared {rows}x{cols} but payload holds {} values",
-            data.len()
-        ));
-    }
-    Ok((name.clone(), Matrix::from_vec(rows, cols, data)))
 }
 
 fn restore_params(
@@ -294,70 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip() {
-        let gt = graph_tensors();
-        let mut rng = StdRng::seed_from_u64(10);
-        let model = build_model(ModelKind::Grat, 4, 8, 3, &mut rng);
-        let snapshot = Checkpoint::capture(model.as_ref(), 4, 8, 3);
-        let path = std::env::temp_dir().join("privim-checkpoint-test.json");
-        snapshot.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        let restored = loaded.restore().unwrap();
-        assert_eq!(
-            model.seed_probabilities(&gt),
-            restored.seed_probabilities(&gt)
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn loads_model_files_written_by_earlier_releases() {
-        // Written by an earlier release: declaration-order keys, `0.0`
-        // for integral floats. The seeded model it holds must come back
-        // bit for bit, with the same digest.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/model-v0.json");
-        let loaded = Checkpoint::load(path).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let model = build_model(ModelKind::Grat, 3, 4, 2, &mut rng);
-        let captured = Checkpoint::capture(model.as_ref(), 3, 4, 2);
-        assert_eq!(loaded.digest_hex(), "b8a325161869d180");
-        assert_eq!(loaded.digest(), captured.digest());
-        // Re-saving writes the same model in sorted-key form.
-        let resaved = std::env::temp_dir().join("privim-checkpoint-resave.json");
-        loaded.save(&resaved).unwrap();
-        let text = std::fs::read_to_string(&resaved).unwrap();
-        assert!(
-            text.starts_with(r#"{"hidden":4,"in_dim":3,"kind":"Grat","#),
-            "{text}"
-        );
-        assert_eq!(
-            Checkpoint::load(&resaved).unwrap().digest(),
-            captured.digest()
-        );
-        std::fs::remove_file(&resaved).ok();
-    }
-
-    #[test]
-    fn load_rejects_payloads_that_disagree_with_their_shape() {
-        let path = std::env::temp_dir().join("privim-checkpoint-shape.json");
-        for params in [
-            r#"[["w", {"rows": 2, "cols": 2, "data": [1, 2, 3]}]]"#,
-            r#"[["w", {"rows": 4294967296, "cols": 4294967296, "data": []}]]"#,
-            r#"[["w", {"rows": 1, "cols": 1, "data": ["x"]}]]"#,
-            r#"[["w"]]"#,
-        ] {
-            let doc =
-                format!(r#"{{"kind":"Gcn","in_dim":1,"hidden":1,"layers":1,"params":{params}}}"#);
-            std::fs::write(&path, doc).unwrap();
-            assert!(
-                matches!(Checkpoint::load(&path), Err(CheckpointError::Parse(_))),
-                "{params}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn digest_is_stable_and_sensitive() {
         let mut rng = StdRng::seed_from_u64(21);
         let model = build_model(ModelKind::Gcn, 4, 8, 2, &mut rng);
@@ -401,57 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn load_never_panics_on_truncated_or_bit_flipped_files() {
-        // Serialize a real checkpoint, then attack the byte stream:
-        // every truncation prefix and a byte-flip sweep must surface as a
-        // `CheckpointError`, never a panic or a silently-accepted model.
-        let mut rng = StdRng::seed_from_u64(12);
-        let model = build_model(ModelKind::Gcn, 4, 8, 2, &mut rng);
-        let snapshot = Checkpoint::capture(model.as_ref(), 4, 8, 2);
-        let path = std::env::temp_dir().join("privim-checkpoint-mutate.json");
-        snapshot.save(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let baseline = snapshot
-            .restore()
-            .unwrap()
-            .seed_probabilities(&graph_tensors());
-
-        // Truncations: step through prefixes (full sweep is O(n^2) parse
-        // work; a stride keeps the test fast while covering every region).
-        for cut in (0..bytes.len()).step_by(7) {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            match Checkpoint::load(&path) {
-                Err(_) => {}
-                Ok(loaded) => {
-                    // A truncation that still parses must still restore
-                    // cleanly or fail with a typed error — no panics.
-                    if let Ok(m) = loaded.restore() {
-                        let _ = m.seed_probabilities(&graph_tensors());
-                    }
-                }
-            }
-        }
-
-        // Bit flips: corrupt one byte at a stride across the file.
-        for pos in (0..bytes.len()).step_by(11) {
-            let mut mutated = bytes.clone();
-            mutated[pos] ^= 0x10;
-            std::fs::write(&path, &mutated).unwrap();
-            if let Ok(loaded) = Checkpoint::load(&path) {
-                if let Ok(m) = loaded.restore() {
-                    let _ = m.seed_probabilities(&graph_tensors());
-                }
-            }
-        }
-
-        // The pristine bytes still work after the abuse.
-        std::fs::write(&path, &bytes).unwrap();
-        let reloaded = Checkpoint::load(&path).unwrap().restore().unwrap();
-        assert_eq!(baseline, reloaded.seed_probabilities(&graph_tensors()));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn validate_rejects_inconsistent_payload() {
         let mut rng = StdRng::seed_from_u64(13);
         let model = build_model(ModelKind::Gcn, 4, 8, 2, &mut rng);
@@ -470,17 +269,39 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_garbage() {
-        let path = std::env::temp_dir().join("privim-checkpoint-garbage.json");
-        std::fs::write(&path, "not json").unwrap();
+    fn validate_bounds_declared_dims_by_stored_weights() {
+        // A snapshot may not declare a model bigger than the weights it
+        // stores: `restore` would otherwise allocate O(layers·hidden²)
+        // for a few bytes of input.
+        let mut rng = StdRng::seed_from_u64(14);
+        let model = build_model(ModelKind::Gcn, 4, 8, 2, &mut rng);
+        let mut snapshot = Checkpoint::capture(model.as_ref(), 4, 8, 2);
+        snapshot.hidden = 1 << 40;
         assert!(matches!(
-            Checkpoint::load(&path),
-            Err(CheckpointError::Parse(_))
+            snapshot.validate(),
+            Err(CheckpointError::Shape(_))
         ));
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(
-            Checkpoint::load("/nonexistent/privim.json"),
-            Err(CheckpointError::Io(_))
-        ));
+        // The bound is a lower bound for every kind: real snapshots of
+        // any shape pass, one layer more or a dim so large that the
+        // count overflows does not.
+        for kind in ModelKind::ALL {
+            for (in_dim, hidden, layers) in [(4, 8, 1), (4, 8, 2), (3, 5, 4), (9, 2, 3)] {
+                let model = build_model(kind, in_dim, hidden, layers, &mut rng);
+                let snapshot = Checkpoint::capture(model.as_ref(), in_dim, hidden, layers);
+                snapshot.validate().unwrap();
+                let mut deeper = snapshot.clone();
+                deeper.layers = 1 << 40;
+                assert!(
+                    deeper.validate().is_err(),
+                    "{kind} {in_dim}/{hidden}/{layers}"
+                );
+                let mut wider = snapshot.clone();
+                wider.in_dim = usize::MAX;
+                assert!(
+                    wider.validate().is_err(),
+                    "{kind} {in_dim}/{hidden}/{layers}"
+                );
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! A minimal JSON value, writer, and parser: the workspace's one JSON
 //! codec.
 //!
-//! Telemetry JSONL, the serve API bodies, the bench envelopes and the
-//! model file all go through here. The writer emits canonical,
+//! Telemetry JSONL, the serve API bodies and the bench envelopes all go
+//! through here. The writer emits canonical,
 //! escape-correct JSON: object keys sorted, floats in Rust's shortest
 //! round-trip form (integral values without `.0`), integers exact. The
 //! parser accepts standard JSON (RFC 8259). Integer literals stay exact

@@ -280,13 +280,6 @@ pub fn disarm() {
     *WATCHDOG.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
-/// True while the process watchdog is armed. One relaxed load — the
-/// whole cost of a disabled [`observe`] site.
-#[inline]
-pub fn watch_enabled() -> bool {
-    WATCH_ARMED.load(Ordering::Relaxed)
-}
-
 /// Feeds the process watchdog, if armed. Disarmed cost: one relaxed
 /// atomic load.
 pub fn observe(metric: &str, tick: u64, value: f64) {
@@ -305,17 +298,6 @@ pub fn observe(metric: &str, tick: u64, value: f64) {
 pub fn alert_states() -> Vec<AlertState> {
     let guard = WATCHDOG.lock().unwrap_or_else(|e| e.into_inner());
     guard.as_ref().map(|d| d.alert_states()).unwrap_or_default()
-}
-
-/// Currently firing alerts of the process watchdog.
-pub fn active_alerts() -> Vec<AlertState> {
-    alert_states().into_iter().filter(|a| a.active).collect()
-}
-
-/// Snapshot of the process watchdog's series (empty when disarmed).
-pub fn watch_series() -> Vec<(String, TimeSeriesSnapshot)> {
-    let guard = WATCHDOG.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_ref().map(|d| d.series()).unwrap_or_default()
 }
 
 #[cfg(test)]

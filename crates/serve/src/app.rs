@@ -6,6 +6,7 @@
 //! statistics are exposed — so answering queries consumes no additional
 //! privacy budget beyond what training spent.
 
+use privim_core::checkpoint::CheckpointStore;
 use privim_graph::{io, Graph};
 use privim_im::metrics::top_k_seeds;
 use privim_im::models::{DiffusionConfig, DiffusionModel};
@@ -23,7 +24,8 @@ use crate::server::Handler;
 pub struct AppConfig {
     /// Graph file (edge list or `.bin`).
     pub graph: String,
-    /// `nn::serialize::Checkpoint` JSON file.
+    /// The released model: a PVCK checkpoint file (what `privim train
+    /// --checkpoint` writes), decoded by `CheckpointStore::load`.
     pub checkpoint: String,
     /// Upper bound on `/v1/spread` trials; larger requests are clamped
     /// (the response reports the clamped count).
@@ -68,15 +70,9 @@ pub struct App {
     debug_endpoints: bool,
 }
 
-/// Loads a graph file the same way the CLI does: `.bin` is the privim
-/// binary format, anything else a whitespace edge list.
+/// Loads a graph file the same way the CLI does ([`io::load_graph`]).
 pub fn load_graph(path: &str) -> Result<Graph, String> {
-    if path.ends_with(".bin") {
-        return io::load_binary(path).map_err(|e| format!("cannot load graph {path}: {e}"));
-    }
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read graph {path}: {e}"))?;
-    io::read_edge_list_auto(&text, 1.0).map_err(|e| format!("cannot parse graph {path}: {e}"))
+    io::load_graph(path).map_err(|e| format!("cannot load graph {path}: {e}"))
 }
 
 impl App {
@@ -85,8 +81,9 @@ impl App {
     /// identical `(checkpoint, graph)` pairs serve identical responses.
     pub fn load(config: &AppConfig) -> Result<App, String> {
         let graph = load_graph(&config.graph)?;
-        let checkpoint = Checkpoint::load(&config.checkpoint)
-            .map_err(|e| format!("cannot load checkpoint {}: {e}", config.checkpoint))?;
+        let checkpoint = CheckpointStore::load(config.checkpoint.as_ref())
+            .map_err(|e| format!("cannot load checkpoint {}: {e}", config.checkpoint))?
+            .model;
         let app = App::from_parts(graph, &checkpoint, config)?;
         privim_obs::info!(
             "serve",
@@ -100,11 +97,11 @@ impl App {
     }
 
     /// Builds the app from an already-loaded graph and model checkpoint.
-    /// This is the hot-swap path: `privim serve --follow` reads binary
-    /// checkpoint-store generations (`TrainCheckpoint.model`) and hands
-    /// them here directly, so a reload never touches the JSON
-    /// checkpoint format — and the swap fails cleanly (old handler keeps
-    /// serving) if the new generation cannot be restored.
+    /// [`App::load`] and the hot-swap path (`privim serve --follow`,
+    /// which reads checkpoint-store generations) both decode with
+    /// `CheckpointStore::load` and hand `TrainCheckpoint.model` here; a
+    /// swap fails cleanly (old handler keeps serving) if the new
+    /// generation cannot be restored.
     pub fn from_parts(
         graph: Graph,
         checkpoint: &Checkpoint,

@@ -2,8 +2,9 @@
 //! queries.
 //!
 //! The server answers seed-selection and spread-estimation queries from a
-//! released [`privim_nn::serialize::Checkpoint`] over a public graph. It is
-//! built entirely on `std::net` — no async runtime, no HTTP framework:
+//! released model (a PVCK file, see [`privim_core::checkpoint`]) over a
+//! public graph. It is built entirely on `std::net` — no async runtime,
+//! no HTTP framework:
 //!
 //! ```text
 //!              ┌────────────┐   bounded    ┌──────────────┐

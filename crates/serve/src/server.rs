@@ -205,7 +205,6 @@ struct Conn {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    queue: Arc<Bounded<Conn>>,
     acceptor: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -269,7 +268,6 @@ impl Server {
         Ok(Server {
             addr,
             stop,
-            queue,
             acceptor,
             workers,
         })
@@ -305,11 +303,6 @@ impl Server {
         }
         privim_obs::info!("serve", "stopped", drained = true);
         privim_obs::flush_sinks();
-    }
-
-    /// Items currently waiting for a worker (test/introspection hook).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 }
 

@@ -8,11 +8,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
+use privim_core::checkpoint::{CheckpointStore, TrainCheckpoint};
 use privim_datasets::paper::Dataset;
 use privim_graph::io;
 use privim_im::models::{DiffusionConfig, DiffusionModel};
 use privim_im::spread::influence_spread_parallel;
 use privim_nn::models::{build_model, ModelKind};
+use privim_nn::optim::{Optimizer, Sgd};
 use privim_nn::serialize::Checkpoint;
 use privim_obs::json::{self, JsonValue};
 use privim_obs::{FlightRecorder, Level, MemorySink, TraceContext};
@@ -49,10 +51,20 @@ impl Fixture {
         let in_dim = 8;
         let mut rng = StdRng::seed_from_u64(7);
         let model = build_model(ModelKind::GraphSage, in_dim, 16, 2, &mut rng);
-        let checkpoint_path = dir.join("model.json");
-        Checkpoint::capture(model.as_ref(), in_dim, 16, 2)
-            .save(&checkpoint_path)
-            .unwrap();
+        let checkpoint_path = dir.join("model.ckpt");
+        let released = TrainCheckpoint {
+            epoch: 0,
+            master_seed: 7,
+            config_crc: 0,
+            trace_id: 0,
+            model: Checkpoint::capture(model.as_ref(), in_dim, 16, 2),
+            optimizer: Sgd::new(0.02).snapshot(),
+            ledger: None,
+            losses: vec![],
+            clip_fractions: vec![],
+            split: None,
+        };
+        CheckpointStore::write(&checkpoint_path, &released).unwrap();
 
         Fixture {
             dir,

@@ -2,6 +2,7 @@
 //! producing the same seed set — the deployment path (train privately once,
 //! publish the checkpoint, serve seed selection from it).
 
+use privim::core::checkpoint::{CheckpointStore, TrainCheckpoint};
 use privim::core::config::PrivImConfig;
 use privim::core::sampling::extract_dual_stage;
 use privim::core::train::train;
@@ -29,17 +30,33 @@ fn trained_model_round_trips_through_checkpoint() {
     let candidates: Vec<NodeId> = g.nodes().collect();
     let out = extract_dual_stage(&g, &cfg, &candidates, &mut rng);
     let mut model = build_model(cfg.model, cfg.feature_dim, cfg.hidden, cfg.hops, &mut rng);
-    train(model.as_mut(), &out.container, &cfg, None, &mut rng).expect("training succeeds");
+    let report =
+        train(model.as_mut(), &out.container, &cfg, None, &mut rng).expect("training succeeds");
 
     let gt = GraphTensors::with_structural_features(&g, cfg.feature_dim);
     let scores = model.seed_probabilities(&gt);
     let seeds = top_k_seeds(&scores, 15);
 
     // Save → load → identical behavior.
-    let snapshot = Checkpoint::capture(model.as_ref(), cfg.feature_dim, cfg.hidden, cfg.hops);
-    let path = std::env::temp_dir().join("privim-pipeline-checkpoint.json");
-    snapshot.save(&path).unwrap();
-    let restored = Checkpoint::load(&path).unwrap().restore().unwrap();
+    let snapshot = TrainCheckpoint {
+        epoch: report.losses.len() as u64,
+        master_seed: 5,
+        config_crc: privim::core::resume::config_digest(&cfg),
+        trace_id: 0,
+        model: Checkpoint::capture(model.as_ref(), cfg.feature_dim, cfg.hidden, cfg.hops),
+        optimizer: report.optimizer,
+        ledger: report.ledger,
+        losses: report.losses,
+        clip_fractions: report.clip_fractions,
+        split: None,
+    };
+    let path = std::env::temp_dir().join("privim-pipeline-checkpoint.ckpt");
+    CheckpointStore::write(&path, &snapshot).unwrap();
+    let restored = CheckpointStore::load(&path)
+        .unwrap()
+        .model
+        .restore()
+        .unwrap();
     std::fs::remove_file(&path).ok();
 
     assert_eq!(restored.kind(), model.kind());
