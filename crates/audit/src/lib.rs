@@ -200,7 +200,7 @@ pub fn run_audit(g: &Graph, dirs: &[String], cfg: &AuditConfig) -> Result<Vec<Au
     let ctx = privim_obs::TraceContext::from_seed(cfg.seed);
     privim_obs::trace::set_run_trace(ctx);
     let _trace = ctx.enter();
-    let span = privim_obs::span!("audit");
+    let span = privim_obs::Scope::span("audit");
     // One candidate universe for the whole sweep (see `attack_rows`).
     let pair_seed = splitmix64(cfg.seed);
 

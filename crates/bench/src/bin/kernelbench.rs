@@ -34,7 +34,7 @@ use privim_graph::GraphBuilder;
 use privim_im::{influence_spread, DiffusionConfig};
 use privim_nn::prelude::{GradVec, Matrix, Tape};
 use privim_obs::fault::splitmix64;
-use privim_obs::ProfScope;
+use privim_obs::Scope;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -248,9 +248,9 @@ fn bench_clip_accumulate(s: &mut Stream, dims: Dims) -> f64 {
     let clip_bound = 1.0;
     // Warm the profiler node and scope stack so the counted region sees
     // only the kernel's own (zero) allocations.
-    drop(ProfScope::enter("train.clip_accumulate"));
+    drop(Scope::kernel("train.clip_accumulate"));
     let (pre_norm, allocs) = counting_allocs(|| {
-        let prof = ProfScope::enter("train.clip_accumulate");
+        let prof = Scope::kernel("train.clip_accumulate");
         let p64 = gv.num_entries() as u64;
         prof.add_work(4 * p64, 8 * 6 * p64, p64);
         let pre = gv.clip(clip_bound);

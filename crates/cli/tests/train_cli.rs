@@ -286,3 +286,81 @@ fn released_file_is_the_newest_generation_and_json_is_refused() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The number after `epsilon spent ` on the first line containing
+/// `marker`.
+fn epsilon_spent<'a>(stdout: &'a str, marker: &str) -> &'a str {
+    let line = stdout
+        .lines()
+        .find(|l| l.contains(marker))
+        .unwrap_or_else(|| panic!("no {marker:?} line in:\n{stdout}"));
+    let (_, rest) = line.split_once("epsilon spent ").expect("epsilon spent");
+    rest.split_whitespace().next().unwrap()
+}
+
+#[test]
+fn epsilon_budget_halts_alerts_and_refuses_resume() {
+    let dir = workdir("monitor");
+    let common = with(&TRAIN, &["--epsilon", "4", "--checkpoint-every", "1"]);
+
+    // Calibration targets ε=4 over 6 epochs; a budget of 2 must halt
+    // mid-run, before the first step whose recorded ε would exceed it.
+    let halted = privim(
+        &dir,
+        &with(
+            &common,
+            &[
+                "--checkpoint-dir",
+                "ckpts",
+                "--epsilon-budget",
+                "2",
+                "--telemetry-out",
+                "mon.jsonl",
+                "--metrics-out",
+                "mon.prom",
+            ],
+        ),
+    );
+    assert!(halted.contains("checkpoint persisted"), "{halted}");
+    // The console prints the accountant's spend as the shortest
+    // round-trip f64; the JSONL halt event agrees to the last digit.
+    let spent = epsilon_spent(&halted, "epsilon budget halt at epoch");
+    assert!(spent.parse::<f64>().unwrap() <= 2.0, "{halted}");
+    let jsonl = std::fs::read_to_string(dir.join("mon.jsonl")).unwrap();
+    let halt_event = jsonl
+        .lines()
+        .find(|l| l.contains(r#""message":"budget_halt""#))
+        .unwrap_or_else(|| panic!("no budget_halt event in:\n{jsonl}"));
+    assert!(
+        halt_event.contains(&format!(r#""epsilon_spent":{spent},"#))
+            || halt_event.contains(&format!(r#""epsilon_spent":{spent}}}"#)),
+        "{halt_event} vs {spent}"
+    );
+
+    // The armed epsilon_budget rule is firing in the exported snapshot,
+    // and the dashboard renders the halt.
+    let prom = std::fs::read_to_string(dir.join("mon.prom")).unwrap();
+    assert!(
+        prom.lines().any(|l| {
+            l.starts_with(r#"privim_alert_active{rule="epsilon_budget""#)
+                && l.rsplit_once("} ").is_some_and(|(_, v)| v == "1")
+        }),
+        "{prom}"
+    );
+    let dashboard = privim(&dir, &["monitor", "--input", "mon.jsonl"]);
+    assert!(dashboard.contains("budget_halt"), "{dashboard}");
+    assert!(dashboard.contains("alert"), "{dashboard}");
+
+    // A resume under the same budget takes no fresh step: it is refused
+    // with the halted run's spend unchanged.
+    let refused = privim(
+        &dir,
+        &with(&common, &["--resume", "ckpts", "--epsilon-budget", "2"]),
+    );
+    assert_eq!(
+        epsilon_spent(&refused, "resume refused"),
+        spent,
+        "{refused}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -144,7 +144,7 @@ pub fn run_method_with_candidates(
     seed: u64,
 ) -> PipelineResult {
     config.validate().expect("invalid configuration");
-    let _span = privim_obs::span!("pipeline");
+    let _span = privim_obs::Scope::span("pipeline");
     privim_obs::info!(
         "pipeline",
         "start",
@@ -156,16 +156,14 @@ pub fn run_method_with_candidates(
     let mut rng = StdRng::seed_from_u64(seed);
 
     // --- Phase 1: subgraph extraction ------------------------------------
-    let pre_start = std::time::Instant::now();
-    let extraction_span = privim_obs::span!("extraction");
+    let extraction_span = privim_obs::Scope::span("extraction");
     let (container, occurrence_bound) = extract_for(method, g, config, candidates, &mut rng);
-    extraction_span.finish();
-    let preprocessing_secs = pre_start.elapsed().as_secs_f64();
+    let preprocessing_secs = extraction_span.finish();
     privim_obs::gauge("pipeline.container_size").set(container.len() as f64);
 
     // --- Phase 2: privacy calibration ------------------------------------
     let delta = config.effective_delta(candidates.len());
-    let calibration_span = privim_obs::span!("calibration");
+    let calibration_span = privim_obs::Scope::span("calibration");
     let privacy = calibrate_for(method, config, &container, occurrence_bound, delta);
     calibration_span.finish();
 
@@ -183,7 +181,7 @@ pub fn run_method_with_candidates(
         &mut rng,
     );
     let report = if container.is_empty() {
-        EpochState::fresh(config, None).report(std::time::Instant::now(), None)
+        EpochState::fresh(config, None).report(0.0, None)
     } else {
         train(
             model.as_mut(),
@@ -196,12 +194,12 @@ pub fn run_method_with_candidates(
     };
 
     // --- Phase 4: inference + seed selection + evaluation -----------------
-    let inference_span = privim_obs::span!("inference");
+    let inference_span = privim_obs::Scope::span("inference");
     let gt = GraphTensors::with_structural_features(g, config.feature_dim);
     let scores = model.seed_probabilities(&gt);
     let seeds = top_k_seeds(&scores, config.seed_size);
     inference_span.finish();
-    let evaluation_span = privim_obs::span!("evaluation");
+    let evaluation_span = privim_obs::Scope::span("evaluation");
     let diffusion = DiffusionConfig::ic_with_steps(config.diffusion_steps);
     let spread = influence_spread(g, &seeds, &diffusion, 200, &mut rng);
     evaluation_span.finish();

@@ -340,8 +340,7 @@ pub fn train_resumable(
     let run_ctx = privim_obs::TraceContext::from_seed(master_seed);
     privim_obs::trace::set_run_trace(run_ctx);
     let _trace = run_ctx.enter();
-    let _span = privim_obs::span!("training_resumable");
-    let started = std::time::Instant::now();
+    let span = privim_obs::Scope::span("training_resumable");
     let expected_crc = config_digest(config);
 
     let (mut model, mut state, resumed_from) = match store.load_latest_valid()? {
@@ -453,7 +452,7 @@ pub fn train_resumable(
         checkpoint: cadence.checkpoint(model.as_ref(), &state, config),
         trace_id: run_ctx.trace_id,
         final_epsilon: state.ledger.as_ref().and_then(|l| l.cumulative_epsilon()),
-        report: state.report(started, privacy),
+        report: state.report(span.finish(), privacy),
         model,
         resumed_from,
         budget_halt,

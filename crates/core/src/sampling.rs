@@ -45,10 +45,10 @@ pub fn extract_naive<R: Rng + ?Sized>(
     candidates: &[NodeId],
     rng: &mut R,
 ) -> (SubgraphContainer, Graph) {
-    let projection_span = privim_obs::span!("projection");
+    let projection_span = privim_obs::Scope::span("projection");
     let projected = theta_projection(g, config.theta, rng);
     projection_span.finish();
-    let _span = privim_obs::span!("subgraph_sampling");
+    let _span = privim_obs::Scope::span("subgraph_sampling");
     let container = Walker::new(&projected, config, config.hops).sample(
         candidates,
         config.subgraph_size,
@@ -68,11 +68,11 @@ pub fn extract_dual_stage<R: Rng + ?Sized>(
     candidates: &[NodeId],
     rng: &mut R,
 ) -> DualStageOutput {
-    let _span = privim_obs::span!("subgraph_sampling");
+    let _span = privim_obs::Scope::span("subgraph_sampling");
     let mut walker = Walker::new(g, config, config.hops);
     let mut frequency = vec![0u32; g.num_nodes()];
     // Stage 1: SCS on the original (unprojected) graph.
-    let scs_span = privim_obs::span!("scs_stage");
+    let scs_span = privim_obs::Scope::span("scs_stage");
     let mut container = walker.sample(
         candidates,
         config.subgraph_size,
@@ -85,7 +85,7 @@ pub fn extract_dual_stage<R: Rng + ?Sized>(
 
     // Stage 2: BES on the boundary graph of unsaturated nodes, read as the
     // original graph with every r-hop ball confined to `kept` nodes.
-    let bes_span = privim_obs::span!("bes_stage");
+    let bes_span = privim_obs::Scope::span("bes_stage");
     let m = config.freq_threshold as u32;
     let kept: Vec<bool> = frequency.iter().map(|&f| f < m).collect();
     let boundary_candidates: Vec<NodeId> = candidates

@@ -236,7 +236,7 @@ pub(crate) fn dp_step<R: Rng + ?Sized>(
         // rescale P, the accumulate P; traffic is one read for the
         // norm, read+write for the rescale, and read + read-modify-
         // write for the accumulate.
-        let prof = privim_obs::ProfScope::enter("train.clip_accumulate");
+        let prof = privim_obs::Scope::kernel("train.clip_accumulate");
         let p64 = gv.num_entries() as u64;
         if privacy.is_some() {
             prof.add_work(4 * p64, 8 * 6 * p64, p64);
@@ -325,8 +325,7 @@ pub fn train<R: Rng + ?Sized>(
     privacy: Option<&PrivacySetup>,
     rng: &mut R,
 ) -> Result<TrainReport, TrainError> {
-    let _span = privim_obs::span!("training");
-    let started = std::time::Instant::now();
+    let span = privim_obs::Scope::span("training");
     let mut state = EpochState::fresh(config, privacy);
     run_epochs(
         model,
@@ -349,7 +348,7 @@ pub fn train<R: Rng + ?Sized>(
             "privacy ledger replay diverged from its recorded epsilons"
         );
     }
-    Ok(state.report(started, privacy))
+    Ok(state.report(span.finish(), privacy))
 }
 
 /// Where each epoch's randomness comes from. This is the only thing the
@@ -397,16 +396,12 @@ impl EpochState {
         }
     }
 
-    /// The run's report, timed from `started`.
-    pub fn report(
-        self,
-        started: std::time::Instant,
-        privacy: Option<&PrivacySetup>,
-    ) -> TrainReport {
+    /// The run's report, for a run that took `training_secs`.
+    pub fn report(self, training_secs: f64, privacy: Option<&PrivacySetup>) -> TrainReport {
         TrainReport {
             losses: self.losses,
             clip_fractions: self.clip_fractions,
-            training_secs: started.elapsed().as_secs_f64(),
+            training_secs,
             sigma: privacy.map(|p| p.sigma),
             ledger: self.ledger,
             optimizer: self.optimizer.snapshot(),

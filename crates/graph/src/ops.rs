@@ -5,7 +5,7 @@
 //! subgraphs — plus BFS and weakly connected components used for dataset
 //! validation.
 
-use privim_obs::ProfScope;
+use privim_obs::Scope;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -20,7 +20,7 @@ use crate::csr::{Graph, GraphBuilder, NodeId};
 /// of its in-edges; all other edges are preserved. The node set is
 /// unchanged.
 pub fn theta_projection<R: Rng + ?Sized>(g: &Graph, theta: usize, rng: &mut R) -> Graph {
-    let _prof = ProfScope::enter("graph.theta_projection");
+    let _prof = Scope::kernel("graph.theta_projection");
     let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_edges());
     let mut keep: Vec<usize> = Vec::new();
     for u in g.nodes() {
@@ -74,7 +74,7 @@ impl KhopBall {
     /// enters only nodes whose mask entry is true: for a kept `v0` that is
     /// the ball of the graph holding just the edges between kept nodes.
     pub fn fill(&mut self, g: &Graph, v0: NodeId, r: usize, kept: Option<&[bool]>) -> usize {
-        let _prof = ProfScope::enter("graph.khop");
+        let _prof = Scope::kernel("graph.khop");
         self.seen.clear();
         self.order.clear();
         self.seen.insert(v0);
@@ -114,7 +114,7 @@ impl KhopBall {
 /// their weights. Duplicate entries in `nodes` are a programmer error and
 /// panic in debug builds.
 pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Graph {
-    let _prof = ProfScope::enter("graph.induced_subgraph");
+    let _prof = Scope::kernel("graph.induced_subgraph");
     let mut index = fast_map_with_capacity(nodes.len());
     for (i, &v) in nodes.iter().enumerate() {
         let prev = index.insert(v, i as NodeId);

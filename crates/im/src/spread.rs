@@ -36,7 +36,7 @@ pub fn influence_spread<R: Rng + ?Sized>(
         return deterministic_one_step_coverage(g, seeds) as f64;
     }
     assert!(trials > 0, "need at least one trial");
-    let prof = privim_obs::ProfScope::enter("im.monte_carlo");
+    let prof = privim_obs::Scope::kernel("im.monte_carlo");
     // Work = trials simulated; cascade cost is data-dependent, so the
     // item counter (not flops/bytes) is the unit of throughput here.
     prof.add_work(0, 0, trials as u64);
@@ -134,7 +134,7 @@ pub fn influence_spread_with_ci<R: Rng + ?Sized>(
         };
     }
     assert!(trials >= 2, "need at least two trials for a CI");
-    let prof = privim_obs::ProfScope::enter("im.monte_carlo");
+    let prof = privim_obs::Scope::kernel("im.monte_carlo");
     // Work = trials simulated; cascade cost is data-dependent, so the
     // item counter (not flops/bytes) is the unit of throughput here.
     prof.add_work(0, 0, trials as u64);
@@ -244,7 +244,7 @@ pub fn influence_spread_parallel(
     if n_threads == 0 {
         return Err(SpreadError::ZeroThreads);
     }
-    let prof = privim_obs::ProfScope::enter("im.monte_carlo");
+    let prof = privim_obs::Scope::kernel("im.monte_carlo");
     // Work = trials simulated; cascade cost is data-dependent, so the
     // item counter (not flops/bytes) is the unit of throughput here.
     prof.add_work(0, 0, trials as u64);

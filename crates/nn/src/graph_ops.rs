@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use privim_obs::ProfScope;
+use privim_obs::Scope;
 
 use crate::matrix::Matrix;
 use crate::profiling::add_count;
@@ -29,7 +29,7 @@ impl Tape {
     ) -> Var {
         assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
         assert_eq!(src.len(), coeff.len(), "coeff length mismatch");
-        let prof = ProfScope::enter("nn.spmm");
+        let prof = Scope::kernel("nn.spmm");
         add_count("nn.edges.spmm", src.len() as u64);
         let hv = self.value(h);
         let d = hv.cols();
@@ -49,7 +49,7 @@ impl Tape {
             out,
             vec![h.0],
             Some(Box::new(move |ctx| {
-                let prof = ProfScope::enter("nn.spmm.bwd");
+                let prof = Scope::kernel("nn.spmm.bwd");
                 add_count("nn.edges.spmm", bs.len() as u64);
                 let (n, d) = ctx.parents[0].shape();
                 let (e64, d64) = (bs.len() as u64, d as u64);
@@ -96,7 +96,7 @@ impl Tape {
 
     /// Gathers rows: `out[e] = h[idx[e]]`.
     pub fn gather_rows(&mut self, h: Var, idx: Rc<Vec<u32>>) -> Var {
-        let prof = ProfScope::enter("nn.gather");
+        let prof = Scope::kernel("nn.gather");
         add_count("nn.edges.gather", idx.len() as u64);
         let hv = self.value(h);
         let d = hv.cols();
@@ -112,7 +112,7 @@ impl Tape {
             out,
             vec![h.0],
             Some(Box::new(move |ctx| {
-                let prof = ProfScope::enter("nn.gather.bwd");
+                let prof = Scope::kernel("nn.gather.bwd");
                 let (n, d) = ctx.parents[0].shape();
                 let (e64, d64) = (bidx.len() as u64, d as u64);
                 prof.add_work(e64 * d64, e64 * (4 + 24 * d64), e64);
@@ -129,7 +129,7 @@ impl Tape {
 
     /// Scatter-add: `out[idx[e]] += v[e]`, producing `n_out` rows.
     pub fn scatter_add_rows(&mut self, v: Var, idx: Rc<Vec<u32>>, n_out: usize) -> Var {
-        let prof = ProfScope::enter("nn.scatter_add");
+        let prof = Scope::kernel("nn.scatter_add");
         add_count("nn.edges.scatter_add", idx.len() as u64);
         let vv = self.value(v);
         assert_eq!(vv.rows(), idx.len(), "scatter index length mismatch");
@@ -148,7 +148,7 @@ impl Tape {
             out,
             vec![v.0],
             Some(Box::new(move |ctx| {
-                let prof = ProfScope::enter("nn.scatter_add.bwd");
+                let prof = Scope::kernel("nn.scatter_add.bwd");
                 let (e_rows, d) = ctx.parents[0].shape();
                 let (e64, d64) = (e_rows as u64, d as u64);
                 prof.add_work(0, e64 * (4 + 16 * d64), e64);
@@ -165,7 +165,7 @@ impl Tape {
     /// gradients to both operands — the differentiable attention-weighted
     /// aggregation step of GAT/GRAT.
     pub fn row_mul(&mut self, v: Var, s: Var) -> Var {
-        let _prof = ProfScope::enter("nn.row_mul");
+        let _prof = Scope::kernel("nn.row_mul");
         let (e_rows, d) = self.value(v).shape();
         assert_eq!(self.value(s).shape(), (e_rows, 1), "s must be E x 1");
         let sv = self.value(s).data().to_vec();
@@ -179,7 +179,7 @@ impl Tape {
             out,
             vec![v.0, s.0],
             Some(Box::new(move |ctx| {
-                let _prof = ProfScope::enter("nn.row_mul.bwd");
+                let _prof = Scope::kernel("nn.row_mul.bwd");
                 let (e_rows, d) = (ctx.parents[0].rows(), d);
                 let mut dv = ctx.grad.clone();
                 let mut ds = Matrix::zeros(e_rows, 1);
@@ -217,7 +217,7 @@ impl Tape {
         weight: Rc<Vec<f64>>,
         n_out: usize,
     ) -> Var {
-        let _prof = ProfScope::enter("nn.neighbor_survival");
+        let _prof = Scope::kernel("nn.neighbor_survival");
         add_count("nn.edges.neighbor_survival", src.len() as u64);
         let av = self.value(a);
         assert_eq!(av.cols(), 1, "activation must be N x 1");
@@ -231,7 +231,7 @@ impl Tape {
             out,
             vec![a.0],
             Some(Box::new(move |ctx| {
-                let _prof = ProfScope::enter("nn.neighbor_survival.bwd");
+                let _prof = Scope::kernel("nn.neighbor_survival.bwd");
                 let a_val = ctx.parents[0];
                 let n_out = ctx.grad.rows();
                 // Zero-count bookkeeping: with z zero factors at node u,
@@ -275,7 +275,7 @@ impl Tape {
         segment: Rc<Vec<u32>>,
         n_segments: usize,
     ) -> Var {
-        let prof = ProfScope::enter("nn.segment_softmax");
+        let prof = Scope::kernel("nn.segment_softmax");
         add_count("nn.edges.segment_softmax", segment.len() as u64);
         // Three passes over E edges: max, exp-and-sum (sub, exp, add),
         // normalize (div) — 5 flops/edge counting exp as one.
@@ -290,7 +290,7 @@ impl Tape {
             out,
             vec![scores.0],
             Some(Box::new(move |ctx| {
-                let prof = ProfScope::enter("nn.segment_softmax.bwd");
+                let prof = Scope::kernel("nn.segment_softmax.bwd");
                 // Two passes: dot accumulate (mul+add), then sub+mul.
                 let e_rows = bseg.len();
                 prof.add_work(4 * e_rows as u64, 48 * e_rows as u64, e_rows as u64);
@@ -332,7 +332,7 @@ impl Tape {
         n_out: usize,
         slope: f64,
     ) -> Var {
-        let prof = ProfScope::enter("nn.attention");
+        let prof = Scope::kernel("nn.attention");
         let n_edges = src.len();
         add_count("nn.edges.attention", n_edges as u64);
         assert_eq!(n_edges, dst.len(), "src/dst length mismatch");
@@ -385,7 +385,7 @@ impl Tape {
             out,
             vec![wh.0, att.0],
             Some(Box::new(move |ctx| {
-                let prof = ProfScope::enter("nn.attention.bwd");
+                let prof = Scope::kernel("nn.attention.bwd");
                 let (g, whv) = (ctx.grad, ctx.parents[0]);
                 let (n, d) = whv.shape();
                 // Per edge: dα 2d, softmax 4, LeakyReLU 1, d(att) 4d, the

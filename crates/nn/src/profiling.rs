@@ -1,6 +1,6 @@
 //! Profiling glue for the autograd kernels.
 //!
-//! Every hot op opens a [`privim_obs::ProfScope`] on its forward and
+//! Every hot op opens a kernel [`privim_obs::Scope`] on its forward and
 //! backward paths and reports work counters (FLOPs for dense ops, edges
 //! for sparse ops). Both are gated on the process-wide profiling flag:
 //! with profiling off (the default) each instrumented op costs exactly

@@ -9,7 +9,7 @@
 //! Dense ops live here; sparse message-passing ops live in
 //! [`crate::graph_ops`].
 
-use privim_obs::ProfScope;
+use privim_obs::Scope;
 
 use crate::matrix::Matrix;
 use crate::profiling::add_count;
@@ -214,7 +214,7 @@ impl Tape {
 
     /// Matrix product `a × b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let prof = ProfScope::enter("nn.matmul");
+        let prof = Scope::kernel("nn.matmul");
         let (m, k) = self.value(a).shape();
         let n = self.value(b).cols();
         let flops = (2 * m * k * n) as u64;
@@ -227,7 +227,7 @@ impl Tape {
             value,
             vec![a.0, b.0],
             Some(Box::new(move |ctx| {
-                let prof = ProfScope::enter("nn.matmul.bwd");
+                let prof = Scope::kernel("nn.matmul.bwd");
                 add_count("nn.flops.matmul", 2 * flops);
                 // Two products (dC·Bᵀ and Aᵀ·dC): 2× the forward flops;
                 // reads dC, A, B and writes dA, dB.

@@ -3,10 +3,11 @@
 //! Structured tracing, metrics, and run telemetry for the PrivIM stack.
 //! Dependency-free, built around three primitives:
 //!
-//! * **Spans** — scoped wall-clock timers with nesting:
-//!   `let _s = obs::span!("training");`. Durations always land in the
-//!   `span.<name>` histogram; with a `Debug`-level sink installed each
-//!   close also emits a `span` event.
+//! * **Scopes** — one guard for every timed region:
+//!   `let _s = Scope::span("training");` for phases (the `span.<name>`
+//!   histogram, the `span` event, span export) and
+//!   `Scope::kernel("nn.matmul")` for hot kernels (one relaxed atomic
+//!   load while profiling is off). See [`Scope`].
 //! * **Metrics** — process-global counters, gauges, and fixed-bucket
 //!   histograms: `obs::counter("im.mc_trials").add(n)`. Snapshot with
 //!   [`snapshot`]; metrics are always on (they are a handful of relaxed
@@ -22,10 +23,10 @@
 //! turns that file back into a typed report.
 //!
 //! On top of the primitives sit the **profiler** (opt-in hierarchical
-//! call-tree timer: [`set_profiling`], [`ProfScope`], [`profile_report`];
-//! spans join the tree automatically while profiling is on) and the
-//! **exporters** ([`render_prometheus`] text format and the
-//! [`render_html_report`] self-contained run report).
+//! call tree: [`set_profiling`], [`profile_report`]; every scope opens
+//! a node while profiling is on) and the **exporters**
+//! ([`render_prometheus`] text format and the [`render_html_report`]
+//! self-contained run report).
 
 mod clock;
 mod event;
@@ -37,8 +38,8 @@ mod profile;
 mod prometheus;
 pub mod recorder;
 mod report_html;
+mod scope;
 mod sink;
-mod span;
 pub mod spanexport;
 mod telemetry;
 pub mod timeseries;
@@ -57,29 +58,26 @@ pub use metrics::{
     DEFAULT_BUCKETS,
 };
 pub use profile::{
-    profile_report, profiling_enabled, reset_profile, set_profiling, ProfScope, ProfileReport,
-    ProfileRow,
+    profile_report, profiling_enabled, reset_profile, set_profiling, ProfileReport, ProfileRow,
 };
 pub use prometheus::{
     label_value, render_prometheus, render_prometheus_with_profile, unescape_label_value,
 };
 pub use recorder::{DumpEntry, FlightRecorder};
 pub use report_html::render_html_report;
+pub use scope::Scope;
 pub use sink::{
     console, console_err, emit, enabled, flush_sinks, install_sink, take_sinks, EventSink,
     JsonlSink, MemorySink, StderrSink,
 };
-pub use span::SpanGuard;
 pub use spanexport::{
-    arm_span_export, arm_span_ring, disarm_span_export, export_span, exported_spans,
+    arm_span_export, arm_span_ring, disarm_span_export, export_finished_span, exported_spans,
     hop_decomposition, parse_spans_jsonl, render_tier_traces, span_export_armed, spans_jsonl,
     HopRow, SpanRecord,
 };
 pub use telemetry::{EpochRecord, LedgerRecord, PhaseTiming, RunTelemetry};
 pub use timeseries::{SeriesBoard, TimeSeries, TimeSeriesSnapshot};
-pub use trace::{
-    current_trace, parse_trace_header, with_trace, TraceContext, TraceGuard, TRACE_HEADER,
-};
+pub use trace::{current_trace, parse_trace_header, with_trace, TraceContext, TRACE_HEADER};
 pub use watch::{AlertRule, AlertState, RuleKind, Watchdog};
 
 /// The global counter named `name` (creating it on first use).

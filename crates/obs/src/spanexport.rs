@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::json::{self, object, JsonValue, ToJson};
+use crate::trace::TraceContext;
 
 /// Cap on the in-memory ring: old spans are dropped once a process has
 /// this many buffered, so debug endpoints stay bounded.
@@ -144,15 +145,10 @@ pub fn arm_span_export(process: &str, path: &str) -> std::io::Result<()> {
         .create(true)
         .append(true)
         .open(path)?;
-    with_state(|state| {
-        let ring = state.as_mut().and_then(|s| s.ring.take());
-        *state = Some(ExportState {
-            process: process.to_string(),
-            file: Some(file),
-            ring,
-        });
+    arm(process, |s| {
+        s.process = process.to_string();
+        s.file = Some(file);
     });
-    ARMED.store(true, Ordering::Release);
     Ok(())
 }
 
@@ -160,19 +156,20 @@ pub fn arm_span_export(process: &str, path: &str) -> std::io::Result<()> {
 /// which debug endpoints serve as JSONL via [`spans_jsonl`]. A file
 /// sink armed earlier keeps running.
 pub fn arm_span_ring(process: &str) {
-    with_state(|state| match state {
-        Some(s) => {
-            if s.ring.is_none() {
-                s.ring = Some(VecDeque::new());
-            }
-        }
-        None => {
-            *state = Some(ExportState {
-                process: process.to_string(),
-                file: None,
-                ring: Some(VecDeque::new()),
-            });
-        }
+    arm(process, |s| {
+        s.ring.get_or_insert_with(VecDeque::new);
+    });
+}
+
+/// Applies `f` to the export state (created for `process` if none) and
+/// arms export.
+fn arm(process: &str, f: impl FnOnce(&mut ExportState)) {
+    with_state(|state| {
+        f(state.get_or_insert_with(|| ExportState {
+            process: process.to_string(),
+            file: None,
+            ring: None,
+        }))
     });
     ARMED.store(true, Ordering::Release);
 }
@@ -189,10 +186,35 @@ pub fn span_export_armed() -> bool {
     ARMED.load(Ordering::Acquire)
 }
 
+/// Exports one finished span with `ctx`'s ids, stamped with the armed
+/// process name; a no-op (no allocation) when nothing is armed. Span
+/// scopes and the serving tier's hand-timed spans all export here.
+pub fn export_finished_span(
+    name: &str,
+    ctx: &TraceContext,
+    start_us: u64,
+    dur_us: u64,
+    annotations: Vec<(String, String)>,
+) {
+    if !span_export_armed() {
+        return;
+    }
+    export_span(SpanRecord {
+        process: String::new(),
+        name: name.to_string(),
+        trace_id: ctx.trace_id,
+        span_id: ctx.span_id,
+        parent_span_id: ctx.parent_span_id,
+        start_us,
+        dur_us,
+        annotations,
+    });
+}
+
 /// Exports one record to the armed sinks. A no-op when nothing is
 /// armed. An empty `record.process` is replaced with the armed process
-/// name, so callers on the hot path need not know it.
-pub fn export_span(mut record: SpanRecord) {
+/// name.
+pub(crate) fn export_span(mut record: SpanRecord) {
     if !span_export_armed() {
         return;
     }

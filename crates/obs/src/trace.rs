@@ -1,5 +1,5 @@
-//! Trace correlation: deterministic 128-bit trace ids with a
-//! thread-local context stack.
+//! Trace correlation: deterministic 128-bit trace ids, made current on
+//! the thread's scope stack.
 //!
 //! A [`TraceContext`] names one causal chain — a training run, a served
 //! request — with a 128-bit `trace_id` plus a 64-bit `span_id` and
@@ -8,11 +8,13 @@
 //! **never** from wall-clock entropy, and never by consuming an RNG
 //! stream, so arming tracing cannot perturb seeded results.
 //!
-//! Contexts live on a thread-local stack. While one is active (via
-//! [`TraceContext::enter`] or [`with_trace`]), every event built by the
-//! `event!` macros is stamped with the top-of-stack ids (see
-//! [`crate::Event::trace`]), and spans push a child context so nested
-//! emissions carry the span's own `span_id` with its parent linked.
+//! Contexts live on the same thread-local stack as open scopes (see
+//! [`crate::Scope`]). While one is active (via [`TraceContext::enter`]
+//! or [`with_trace`]), every event built by the `event!` macros is
+//! stamped with the innermost context's ids (see
+//! [`crate::Event::trace`]), and span scopes push a child context so
+//! nested emissions carry the span's own `span_id` with its parent
+//! linked.
 //! Worker threads do not inherit the stack — propagate explicitly with
 //! [`with_trace`], as the parallel Monte-Carlo estimator does.
 //!
@@ -20,11 +22,11 @@
 //! *run trace* ([`set_run_trace`]): exporters that render process-wide
 //! state (Prometheus text, the HTML report) label their output with it.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::fault::splitmix64;
+use crate::scope::Scope;
 
 /// Domain-separation tags so the three id streams derived from one seed
 /// never collide with each other or with epoch-seed derivation.
@@ -146,13 +148,12 @@ impl TraceContext {
         format!("{:016x}", self.span_id)
     }
 
-    /// Pushes this context onto the thread's stack; it stays active (and
-    /// stamps every emission on this thread) until the guard drops.
-    pub fn enter(self) -> TraceGuard {
-        TRACE_STACK.with(|s| s.borrow_mut().push(self));
-        TraceGuard {
-            _not_send: std::marker::PhantomData,
-        }
+    /// Pushes this context onto the thread's scope stack; it stays
+    /// active (and stamps every emission on this thread) until the
+    /// returned guard drops. The guard is `!Send`: a context belongs to
+    /// the thread that entered it.
+    pub fn enter(self) -> Scope<'static> {
+        Scope::trace(self)
     }
 }
 
@@ -190,57 +191,13 @@ pub fn parse_trace_header(value: &str) -> Option<TraceContext> {
     })
 }
 
-thread_local! {
-    /// The active contexts on this thread, outermost first.
-    static TRACE_STACK: RefCell<Vec<TraceContext>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII guard from [`TraceContext::enter`]; pops the context on drop.
-/// Deliberately `!Send`: a context belongs to the thread that entered it.
-pub struct TraceGuard {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        TRACE_STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// The innermost active context on this thread, if any.
-pub fn current_trace() -> Option<TraceContext> {
-    TRACE_STACK.with(|s| s.borrow().last().copied())
-}
+pub use crate::scope::current_trace;
 
 /// Runs `f` with `ctx` active. This is the hand-off primitive for worker
 /// threads, which never inherit the spawning thread's stack.
 pub fn with_trace<T>(ctx: TraceContext, f: impl FnOnce() -> T) -> T {
     let _guard = ctx.enter();
     f()
-}
-
-/// Pushes a child of the current context for a span, if one is active.
-/// Returns whether a context was pushed (the span must pop it on close).
-pub(crate) fn push_span_child() -> bool {
-    TRACE_STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        match stack.last().copied() {
-            Some(parent) => {
-                stack.push(parent.child());
-                true
-            }
-            None => false,
-        }
-    })
-}
-
-/// Pops the context [`push_span_child`] pushed.
-pub(crate) fn pop_span_child() {
-    TRACE_STACK.with(|s| {
-        s.borrow_mut().pop();
-    });
 }
 
 static RUN_TRACE: Mutex<Option<TraceContext>> = Mutex::new(None);
@@ -404,6 +361,46 @@ mod tests {
         for value in bad {
             assert_eq!(parse_trace_header(value), None, "{value:?}");
         }
+    }
+
+    #[test]
+    fn fuzzed_trace_headers_never_panic_and_round_trip() {
+        // Seeded sweep (splitmix64 over a counter) of byte flips,
+        // truncations, case changes, extra `-` fields and random ASCII.
+        // Whatever the parser accepts must re-serialise to the same
+        // trace and span fields.
+        let mut n = 0u64;
+        let mut next = move |bound: usize| {
+            n += 1;
+            (splitmix64(0x7472_6163_6566_757a ^ n) % bound as u64) as usize
+        };
+        let mut accepted = 0;
+        for i in 0..4000 {
+            let header = TraceContext::from_seed(i).child().to_trace_header();
+            let mut bytes = header.into_bytes();
+            let pos = next(bytes.len());
+            match next(5) {
+                0 => bytes[pos] ^= 1 << next(8),
+                1 => bytes.truncate(pos),
+                2 => bytes[pos] = bytes[pos].to_ascii_uppercase(),
+                3 => {
+                    bytes.splice(pos..pos, *b"-01");
+                }
+                _ => {
+                    let alphabet = b"0123456789abcdefABCDEF-x ";
+                    bytes = (0..next(60))
+                        .map(|_| alphabet[next(alphabet.len())])
+                        .collect();
+                }
+            }
+            let value = String::from_utf8_lossy(&bytes);
+            if let Some(ctx) = parse_trace_header(&value) {
+                accepted += 1;
+                assert_eq!(ctx.parent_span_id, None, "{value:?}");
+                assert_eq!(ctx.to_trace_header()[..49], value[..49], "{value:?}");
+            }
+        }
+        assert!(accepted > 0, "some mutations keep the header valid");
     }
 
     #[test]

@@ -194,19 +194,16 @@ fn accept_loop(
                         let ctx = privim_obs::TraceContext::from_request_id(&format!(
                             "chaos-{seed}-{index}"
                         ));
-                        privim_obs::export_span(privim_obs::SpanRecord {
-                            process: String::new(),
-                            name: "chaos.fault".into(),
-                            trace_id: ctx.trace_id,
-                            span_id: ctx.span_id,
-                            parent_span_id: None,
-                            start_us: privim_obs::now_micros(),
-                            dur_us: 0,
-                            annotations: vec![
+                        privim_obs::export_finished_span(
+                            "chaos.fault",
+                            &ctx,
+                            privim_obs::now_micros(),
+                            0,
+                            vec![
                                 ("fault".to_string(), fault.label().to_string()),
                                 ("conn".to_string(), index.to_string()),
                             ],
-                        });
+                        );
                     }
                 }
                 privim_obs::debug!("chaos", "connection", index = index, fault = fault.label(),);

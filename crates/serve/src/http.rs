@@ -153,12 +153,42 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
         .map_err(|_| HttpError::Malformed("non-UTF-8 header".into()))
 }
 
+/// The request's `Content-Length`, if it has one. RFC 9112 §6.3 makes
+/// ambiguous framing an error, so two different lengths, a length next
+/// to `Transfer-Encoding`, and a length that is not plain digits
+/// (`usize`'s parser would take a leading `+`) are rejected, not
+/// guessed at.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpError> {
+    let mut lengths = headers
+        .iter()
+        .filter(|(n, _)| n == "content-length")
+        .map(|(_, v)| v);
+    let Some(len) = lengths.next() else {
+        return Ok(None);
+    };
+    if lengths.any(|other| other != len) {
+        return Err(HttpError::Malformed(
+            "conflicting content-length headers".into(),
+        ));
+    }
+    if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        return Err(HttpError::Malformed(
+            "content-length with transfer-encoding".into(),
+        ));
+    }
+    let bad = || HttpError::Malformed(format!("bad content-length: {len:?}"));
+    if len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad());
+    }
+    len.parse().map(Some).map_err(|_| bad())
+}
+
 /// Reads one request from `r`.
 ///
 /// Returns `Ok(None)` when the peer closed the connection cleanly before
 /// sending anything (the normal end of a keep-alive session). Bodies are
-/// only read when `Content-Length` is present and at most `max_body`
-/// bytes.
+/// only read when one unambiguous `Content-Length` is present and at
+/// most `max_body` bytes.
 pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Request>, HttpError> {
     let Some(request_line) = read_line(r)? else {
         return Ok(None);
@@ -200,10 +230,7 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
         body: Vec::new(),
         http11,
     };
-    if let Some(len) = req.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length: {len:?}")))?;
+    if let Some(len) = content_length(&req.headers)? {
         if len > max_body {
             return Err(HttpError::TooLarge(format!(
                 "body of {len} bytes (limit {max_body})"
@@ -385,6 +412,115 @@ mod tests {
         let err = parse("POST / HTTP/1.1\r\nContent-Length: 9999\r\n\r\n").unwrap_err();
         assert!(matches!(err, HttpError::TooLarge(_)));
         assert_eq!(err.status(), Some(413));
+    }
+
+    #[test]
+    fn rejects_conflicting_content_lengths() {
+        let err = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!")
+            .unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)), "{err}");
+        assert_eq!(err.status(), Some(400));
+        // Repeating the same length is not ambiguous.
+        let req = parse("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn rejects_signed_content_length() {
+        for len in ["+5", "-5", "0x5", "5 5", ""] {
+            let err = parse(&format!(
+                "POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\nhello"
+            ))
+            .unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{len:?}: {err}");
+            assert_eq!(err.status(), Some(400));
+        }
+    }
+
+    #[test]
+    fn rejects_content_length_with_transfer_encoding() {
+        let err = parse(
+            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\nhello",
+        )
+        .unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)), "{err}");
+        assert_eq!(err.status(), Some(400));
+    }
+
+    #[test]
+    fn fuzzed_requests_never_panic_or_overread() {
+        // Seeded sweep over mutated and truncated valid requests plus
+        // random bytes, each read to the end of its stream as one
+        // keep-alive session: every outcome is a request whose body fits
+        // the limit or a typed error with its status mapping.
+        use rand::{Rng, SeedableRng};
+        const MAX_BODY: usize = 16;
+        let fixtures: [&[u8]; 4] = [
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"POST /v1/seeds HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"k\":3}",
+            b"POST / HTTP/1.0\r\nContent-Length: 2\r\nConnection: keep-alive\r\n\r\nab\
+              GET / HTTP/1.1\r\n\r\n",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4854_5450);
+        for _ in 0..3000 {
+            let mut bytes = fixtures[rng.gen_range(0..fixtures.len())].to_vec();
+            match rng.gen_range(0..5usize) {
+                0 => {
+                    // Flip bits in a few bytes.
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let pos = rng.gen_range(0..bytes.len());
+                        bytes[pos] ^= rng.gen_range(1..256usize) as u8;
+                    }
+                }
+                1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                2 => {
+                    // Splice a framing header in after the request line.
+                    let hostile = [
+                        "Content-Length: +1\r\n",
+                        "Content-Length: 99999999999999999999999\r\n",
+                        "Content-Length: 3\r\n",
+                        "Content-Length: 1000\r\n",
+                        "Transfer-Encoding: chunked\r\n",
+                        "content-length:\r\n",
+                        ": \r\n",
+                    ];
+                    let at = bytes.iter().position(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    let header = hostile[rng.gen_range(0..hostile.len())];
+                    bytes.splice(at..at, header.bytes());
+                }
+                3 => {
+                    // Insert junk mid-stream.
+                    let pos = rng.gen_range(0..=bytes.len());
+                    let junk = [b'\r', b'\n', b':', b' ', b'+', 0xff, 0];
+                    bytes.insert(pos, junk[rng.gen_range(0..junk.len())]);
+                }
+                _ => {
+                    bytes = (0..rng.gen_range(0..64usize))
+                        .map(|_| rng.gen::<u64>() as u8)
+                        .collect();
+                }
+            }
+            let mut cursor = std::io::Cursor::new(bytes);
+            for _ in 0..8 {
+                match read_request(&mut cursor, MAX_BODY) {
+                    Ok(Some(req)) => assert!(req.body.len() <= MAX_BODY),
+                    Ok(None) => break,
+                    Err(err) => {
+                        let expected = match err {
+                            HttpError::Malformed(_) => Some(400),
+                            HttpError::TooLarge(_) => Some(413),
+                            HttpError::UnexpectedEof => None,
+                            HttpError::Io(ref e) => panic!("in-memory read failed: {e}"),
+                        };
+                        assert_eq!(err.status(), expected, "{err}");
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -365,19 +365,16 @@ impl Router {
                     "probe-{}-{}-{}",
                     self.config.seed, poll_n, backend.addr
                 ));
-                privim_obs::export_span(privim_obs::SpanRecord {
-                    process: String::new(),
-                    name: "router.health_probe".into(),
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                    parent_span_id: None,
-                    start_us: probe_start_us,
-                    dur_us: probe_started.elapsed().as_micros() as u64,
-                    annotations: vec![
+                privim_obs::export_finished_span(
+                    "router.health_probe",
+                    &ctx,
+                    probe_start_us,
+                    probe_started.elapsed().as_micros() as u64,
+                    vec![
                         ("backend".into(), backend.addr.clone()),
                         ("ok".into(), probe_ok.to_string()),
                     ],
-                });
+                );
             }
             // One flaky probe (the probe shares the traffic network, so
             // it fails under the same chaos) must not pull a replica:
@@ -852,16 +849,13 @@ fn export_attempt_span(
     if cancelled {
         annotations.push(("cancelled".to_string(), "true".to_string()));
     }
-    privim_obs::export_span(privim_obs::SpanRecord {
-        process: String::new(),
-        name: "router.attempt".into(),
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        parent_span_id: ctx.parent_span_id,
+    privim_obs::export_finished_span(
+        "router.attempt",
+        ctx,
         start_us,
-        dur_us: elapsed.as_micros() as u64,
+        elapsed.as_micros() as u64,
         annotations,
-    });
+    );
 }
 
 /// Exports a zero-duration `router.breaker` marker span for a breaker
@@ -873,20 +867,17 @@ fn export_breaker_span(addr: &str, transition: &str, trips: u64) {
         return;
     }
     let ctx = TraceContext::from_request_id(&format!("breaker-{addr}-{trips}-{transition}"));
-    privim_obs::export_span(privim_obs::SpanRecord {
-        process: String::new(),
-        name: "router.breaker".into(),
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        parent_span_id: None,
-        start_us: privim_obs::now_micros(),
-        dur_us: 0,
-        annotations: vec![
+    privim_obs::export_finished_span(
+        "router.breaker",
+        &ctx,
+        privim_obs::now_micros(),
+        0,
+        vec![
             ("backend".to_string(), addr.to_string()),
             ("transition".to_string(), transition.to_string()),
             ("trips".to_string(), trips.to_string()),
         ],
-    });
+    );
 }
 
 /// Sends `req` to one backend and converts the reply. 503s and transport

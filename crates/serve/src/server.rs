@@ -577,41 +577,31 @@ fn serve_connection(
             // parent's attempt duration minus this span is pure
             // transport. Its children split the queue-age and
             // worker-compute shares at the tier's agreed child indices.
-            privim_obs::export_span(privim_obs::SpanRecord {
-                process: String::new(),
-                name: "serve.request".into(),
-                trace_id: trace_ctx.trace_id,
-                span_id: trace_ctx.span_id,
-                parent_span_id: trace_ctx.parent_span_id,
-                start_us: handle_start_us.saturating_sub(queue_us),
-                dur_us: queue_us + handle_us,
-                annotations: vec![
+            let queue_start_us = handle_start_us.saturating_sub(queue_us);
+            privim_obs::export_finished_span(
+                "serve.request",
+                &trace_ctx,
+                queue_start_us,
+                queue_us + handle_us,
+                vec![
                     ("route".into(), label.to_string()),
                     ("status".into(), response.status.to_string()),
                 ],
-            });
-            let queue_ctx = trace_ctx.child_n(privim_obs::trace::CHILD_QUEUE_WAIT);
-            privim_obs::export_span(privim_obs::SpanRecord {
-                process: String::new(),
-                name: "serve.queue_wait".into(),
-                trace_id: queue_ctx.trace_id,
-                span_id: queue_ctx.span_id,
-                parent_span_id: queue_ctx.parent_span_id,
-                start_us: handle_start_us.saturating_sub(queue_us),
-                dur_us: queue_us,
-                annotations: Vec::new(),
-            });
-            let handle_ctx = trace_ctx.child_n(privim_obs::trace::CHILD_HANDLE);
-            privim_obs::export_span(privim_obs::SpanRecord {
-                process: String::new(),
-                name: "serve.handle".into(),
-                trace_id: handle_ctx.trace_id,
-                span_id: handle_ctx.span_id,
-                parent_span_id: handle_ctx.parent_span_id,
-                start_us: handle_start_us,
-                dur_us: handle_us,
-                annotations: Vec::new(),
-            });
+            );
+            privim_obs::export_finished_span(
+                "serve.queue_wait",
+                &trace_ctx.child_n(privim_obs::trace::CHILD_QUEUE_WAIT),
+                queue_start_us,
+                queue_us,
+                Vec::new(),
+            );
+            privim_obs::export_finished_span(
+                "serve.handle",
+                &trace_ctx.child_n(privim_obs::trace::CHILD_HANDLE),
+                handle_start_us,
+                handle_us,
+                Vec::new(),
+            );
         }
         first_request = false;
         // Honor keep-alive only while the server is not draining.
