@@ -10,8 +10,8 @@
 //!
 //! * default: fully deterministic. No wall-clock fields are emitted, so
 //!   two runs with the same seed produce **byte-identical** JSON — this
-//!   is what `BENCH_kernels.json` at the repo root is and what CI's
-//!   bit-identity check relies on.
+//!   is what `BENCH_kernels.json` at the repo root is, and what
+//!   `tests/kernelbench_determinism.rs` checks.
 //! * `--measure`: adds warmup + min-of-N wall-clock timing per kernel
 //!   (`min_secs`, `mean_secs`, `cv`, `gflops`). Used when refreshing the
 //!   committed baseline so `bench_diff` has runtime metrics to gate on.
@@ -26,8 +26,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use privim_bench::print_table;
 use privim_graph::GraphBuilder;
@@ -121,8 +121,8 @@ impl Stream {
         )
     }
 
-    fn indices(&mut self, len: usize, n: usize) -> Rc<Vec<u32>> {
-        Rc::new((0..len).map(|_| self.index(n)).collect())
+    fn indices(&mut self, len: usize, n: usize) -> Arc<Vec<u32>> {
+        Arc::new((0..len).map(|_| self.index(n)).collect())
     }
 }
 
@@ -181,7 +181,7 @@ fn bench_spmm(s: &mut Stream, dims: Dims) -> f64 {
     let h = s.matrix(n, d);
     let src = s.indices(e, n);
     let dst = s.indices(e, n);
-    let coeff = Rc::new((0..e).map(|_| s.signed_unit()).collect::<Vec<_>>());
+    let coeff = Arc::new((0..e).map(|_| s.signed_unit()).collect::<Vec<_>>());
     let mut tape = Tape::new();
     let vh = tape.leaf(h);
     let out = tape.spmm_fixed(vh, src, dst, coeff, n);

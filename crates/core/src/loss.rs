@@ -15,7 +15,7 @@
 //! L(G; W) = Σ_u Π_{i=0}^{j} (1 − a_i(u))  +  λ Σ_u x_u
 //! ```
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use privim_nn::graph_tensors::GraphTensors;
 use privim_nn::tape::{Tape, Var};
@@ -31,9 +31,9 @@ pub fn im_loss(tape: &mut Tape, gt: &GraphTensors, x: Var, steps: usize, lambda:
     for _ in 0..steps {
         let survive = tape.neighbor_survival(
             activation,
-            Rc::clone(&gt.src),
-            Rc::clone(&gt.dst),
-            Rc::clone(&gt.edge_weight),
+            Arc::clone(&gt.src),
+            Arc::clone(&gt.dst),
+            Arc::clone(&gt.edge_weight),
             gt.num_nodes,
         );
         not_influenced = tape.mul(not_influenced, survive);
@@ -48,7 +48,7 @@ pub fn im_loss(tape: &mut Tape, gt: &GraphTensors, x: Var, steps: usize, lambda:
 /// Evaluates the loss value for fixed probabilities without building
 /// gradients — used by tests and by training-progress reporting.
 pub fn im_loss_value(gt: &GraphTensors, probs: &[f64], steps: usize, lambda: f64) -> f64 {
-    let mut tape = Tape::new();
+    let mut tape = Tape::no_grad();
     let x = tape.leaf(privim_nn::matrix::Matrix::from_vec(
         probs.len(),
         1,
@@ -74,9 +74,9 @@ pub fn lt_loss(tape: &mut Tape, gt: &GraphTensors, x: Var, steps: usize, lambda:
     for _ in 0..steps {
         let flow = tape.spmm_fixed(
             activation,
-            Rc::clone(&gt.src),
-            Rc::clone(&gt.dst),
-            Rc::clone(&gt.edge_weight),
+            Arc::clone(&gt.src),
+            Arc::clone(&gt.dst),
+            Arc::clone(&gt.edge_weight),
             gt.num_nodes,
         );
         let p = tape.clamp(flow, 0.0, 1.0);
@@ -92,7 +92,7 @@ pub fn lt_loss(tape: &mut Tape, gt: &GraphTensors, x: Var, steps: usize, lambda:
 
 /// [`lt_loss`] evaluated at fixed probabilities.
 pub fn lt_loss_value(gt: &GraphTensors, probs: &[f64], steps: usize, lambda: f64) -> f64 {
-    let mut tape = Tape::new();
+    let mut tape = Tape::no_grad();
     let x = tape.leaf(privim_nn::matrix::Matrix::from_vec(
         probs.len(),
         1,

@@ -7,6 +7,11 @@
 //! noise can be disabled (non-private) or swapped for Symmetric
 //! Multivariate Laplace (the HP baseline).
 
+use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -20,7 +25,7 @@ use privim_nn::params::GradVec;
 use privim_nn::tape::Tape;
 
 use crate::config::{LossKind, PrivImConfig};
-use crate::container::SubgraphContainer;
+use crate::container::{SubgraphContainer, SubgraphSample};
 use crate::loss::{im_loss, lt_loss};
 use crate::resume::{BudgetHalt, Cadence, ResumeError};
 
@@ -180,15 +185,109 @@ pub(crate) struct StepStats {
     pub skipped: bool,
 }
 
+/// One chosen subgraph's share of a step: its loss, its gradient (clipped
+/// in private runs) and, in private runs, its pre-clip l2 norm.
+struct SampleGrad {
+    loss: f64,
+    grad: GradVec,
+    pre_norm: Option<f64>,
+}
+
+/// Forward, loss and backward for one subgraph. A pure function of the
+/// parameters and the sample: it draws no randomness and touches no
+/// shared state, so every thread computes the same bits.
+fn sample_grad(
+    model: &dyn GnnModel,
+    sample: &SubgraphSample,
+    config: &PrivImConfig,
+) -> (f64, GradVec) {
+    let mut tape = Tape::new();
+    let pv = model.params().bind(&mut tape);
+    let probs = model.forward(&mut tape, &sample.tensors, &pv);
+    let loss = match config.loss {
+        LossKind::IcProduct => im_loss(
+            &mut tape,
+            &sample.tensors,
+            probs,
+            config.diffusion_steps,
+            config.lambda,
+        ),
+        LossKind::LtTruncated => lt_loss(
+            &mut tape,
+            &sample.tensors,
+            probs,
+            config.diffusion_steps,
+            config.lambda,
+        ),
+    };
+    let value = tape.value(loss).as_scalar();
+    let grads = tape.backward(loss);
+    (value, model.params().grads(&pv, grads))
+}
+
+/// A step's running sums. Samples finish in any order; [`BatchSum::commit`]
+/// adds them in `chosen` order, so every float sum is the serial one.
+struct BatchSum {
+    sum: GradVec,
+    loss: f64,
+    clipped: usize,
+    pre_norm: f64,
+    post_norm: f64,
+    /// Position in `chosen` of the next sample to add.
+    next: usize,
+    /// Finished samples waiting for an earlier one, by position.
+    pending: Vec<(usize, SampleGrad)>,
+}
+
+impl BatchSum {
+    fn new(model: &dyn GnnModel) -> Self {
+        BatchSum {
+            sum: GradVec::zeros_like(model.params()),
+            loss: 0.0,
+            clipped: 0,
+            pre_norm: 0.0,
+            post_norm: 0.0,
+            next: 0,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Takes the sample at position `pos` and adds every sample that is
+    /// now next in order.
+    fn commit(&mut self, pos: usize, sample: SampleGrad, clip_bound: f64) {
+        self.pending.push((pos, sample));
+        while let Some(i) = self.pending.iter().position(|&(p, _)| p == self.next) {
+            let (_, s) = self.pending.swap_remove(i);
+            self.loss += s.loss;
+            if let Some(pre_norm) = s.pre_norm {
+                self.pre_norm += pre_norm;
+                self.post_norm += pre_norm.min(clip_bound);
+                if pre_norm > clip_bound {
+                    self.clipped += 1;
+                }
+            }
+            self.sum.add_assign(&s.grad);
+            self.next += 1;
+        }
+    }
+}
+
 /// One Algorithm 2 step: sample a batch, accumulate clipped per-subgraph
 /// gradients, perturb, and apply. Shared verbatim by the legacy
 /// [`train`] loop (one RNG stream across all iterations) and the
 /// crash-safe resumable loop in [`crate::resume`] (a fresh derived RNG
 /// per epoch) — both must take bitwise-identical steps.
 ///
+/// The chosen subgraphs' forward, loss, backward and clip run on
+/// `threads` workers: the caller and `threads − 1` scoped helpers, which
+/// claim positions in `chosen` from one counter and adopt the caller's
+/// trace context. [`BatchSum`] commits the results in `chosen` order, so
+/// the step is bit-identical at every thread count.
+///
 /// RNG discipline: only batch selection and noise sampling touch `rng`,
-/// in that order; the non-finite guard and the fault site never do, so
-/// guarded and unguarded healthy runs are bit-identical.
+/// both on the caller, in that order; the workers, the non-finite guard
+/// and the fault site never do, so guarded and unguarded healthy runs
+/// are bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dp_step<R: Rng + ?Sized>(
     model: &mut dyn GnnModel,
@@ -199,64 +298,63 @@ pub(crate) fn dp_step<R: Rng + ?Sized>(
     indices: &[usize],
     batch: usize,
     step: usize,
+    threads: usize,
     rng: &mut R,
 ) -> Result<StepStats, TrainError> {
     let chosen: Vec<usize> = indices.choose_multiple(rng, batch).copied().collect();
-    let mut sum = GradVec::zeros_like(model.params());
-    let mut batch_loss = 0.0;
-    let mut clipped = 0usize;
-    let mut pre_norm_sum = 0.0;
-    let mut post_norm_sum = 0.0;
-    for &idx in &chosen {
-        let sample = container.get(idx);
-        let mut tape = Tape::new();
-        let pv = model.params().bind(&mut tape);
-        let probs = model.forward(&mut tape, &sample.tensors, &pv);
-        let loss = match config.loss {
-            LossKind::IcProduct => im_loss(
-                &mut tape,
-                &sample.tensors,
-                probs,
-                config.diffusion_steps,
-                config.lambda,
-            ),
-            LossKind::LtTruncated => lt_loss(
-                &mut tape,
-                &sample.tensors,
-                probs,
-                config.diffusion_steps,
-                config.lambda,
-            ),
+    let shared: &dyn GnnModel = model;
+    let acc = Mutex::new(BatchSum::new(shared));
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let pos = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&idx) = chosen.get(pos) else {
+            return;
         };
-        batch_loss += tape.value(loss).as_scalar();
-        let grads = tape.backward(loss);
-        let mut gv = model.params().grads(&pv, grads);
+        let (loss, mut grad) = sample_grad(shared, container.get(idx), config);
         // Per-sample clip + accumulate (Algorithm 2, lines 6-7) over
         // P gradient entries: the l2 norm costs 2P flops, the clip
         // rescale P, the accumulate P; traffic is one read for the
         // norm, read+write for the rescale, and read + read-modify-
         // write for the accumulate.
         let prof = privim_obs::Scope::kernel("train.clip_accumulate");
-        let p64 = gv.num_entries() as u64;
-        if privacy.is_some() {
-            prof.add_work(4 * p64, 8 * 6 * p64, p64);
-            let pre_norm = gv.clip(config.clip_bound);
-            pre_norm_sum += pre_norm;
-            post_norm_sum += pre_norm.min(config.clip_bound);
-            if pre_norm > config.clip_bound {
-                clipped += 1;
+        let p64 = grad.num_entries() as u64;
+        let pre_norm = match privacy {
+            Some(_) => {
+                prof.add_work(4 * p64, 8 * 6 * p64, p64);
+                Some(grad.clip(config.clip_bound))
             }
-        } else {
-            prof.add_work(p64, 8 * 3 * p64, p64);
+            None => {
+                prof.add_work(p64, 8 * 3 * p64, p64);
+                None
+            }
+        };
+        let sample = SampleGrad {
+            loss,
+            grad,
+            pre_norm,
+        };
+        acc.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .commit(pos, sample, config.clip_bound);
+    };
+    let caller_trace = privim_obs::current_trace();
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| match caller_trace {
+                Some(ctx) => privim_obs::with_trace(ctx, work),
+                None => work(),
+            });
         }
-        sum.add_assign(&gv);
-        drop(prof);
-    }
+        work();
+    });
+    let acc = acc.into_inner().unwrap_or_else(PoisonError::into_inner);
+    debug_assert_eq!(acc.next, chosen.len(), "every chosen sample committed");
+    let mut sum = acc.sum;
     privim_obs::fault_point("train.post_backward")?;
-    let mean_loss = batch_loss / batch as f64;
-    let clip_fraction = clipped as f64 / batch as f64;
-    let grad_norm_pre = pre_norm_sum / batch as f64;
-    let grad_norm_post = post_norm_sum / batch as f64;
+    let mean_loss = acc.loss / batch as f64;
+    let clip_fraction = acc.clipped as f64 / batch as f64;
+    let grad_norm_pre = acc.pre_norm / batch as f64;
+    let grad_norm_post = acc.post_norm / batch as f64;
     // Non-finite guard, evaluated BEFORE any noise is sampled: a skipped
     // step releases no perturbed gradient, so the accountant records
     // nothing and no budget is spent. (Clipping bounds each sample's
@@ -310,6 +408,38 @@ pub(crate) fn dp_step<R: Rng + ?Sized>(
         grad_norm_post,
         skipped: false,
     })
+}
+
+thread_local! {
+    /// The worker count [`with_step_threads`] pinned on this thread.
+    static STEP_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Workers per DP-SGD step: the machine's available parallelism, or the
+/// count [`with_step_threads`] pinned, capped at the batch size (a
+/// worker without a sample would only idle).
+fn step_threads(batch: usize) -> usize {
+    STEP_THREADS
+        .with(Cell::get)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+        .clamp(1, batch.max(1))
+}
+
+/// Runs `f` with every DP-SGD step it takes on this thread spread over
+/// exactly `threads` workers (at most one per batch sample). A step's
+/// result does not depend on its worker count; tests use this to pin
+/// the count and prove it.
+#[doc(hidden)]
+pub fn with_step_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STEP_THREADS.with(|c| c.set(self.0));
+        }
+    }
+    assert!(threads >= 1, "a step needs at least one worker");
+    let _restore = Restore(STEP_THREADS.with(|c| c.replace(Some(threads))));
+    f()
 }
 
 /// Runs Algorithm 2. With `privacy = None`, runs the non-private variant
@@ -437,6 +567,7 @@ pub(crate) fn run_epochs<S: EpochRng>(
     let m = container.len();
     let batch = config.batch_size.min(m);
     let indices: Vec<usize> = (0..m).collect();
+    let threads = step_threads(batch);
     let sub = privacy.map(|setup| setup.subsampled_config(config, m));
     let start_epoch = state.epoch;
     let mut durable = cadence.and_then(|c| c.durable);
@@ -502,6 +633,7 @@ pub(crate) fn run_epochs<S: EpochRng>(
             &indices,
             batch,
             epoch as usize,
+            threads,
             rngs.for_epoch(epoch),
         )?;
         state.losses.push(stats.mean_loss);
@@ -845,6 +977,156 @@ mod tests {
             ),
             "non-private"
         );
+    }
+
+    // The parallel step shares these across its workers.
+    const _: () = {
+        const fn assert_sync<T: Sync + ?Sized>() {}
+        assert_sync::<SubgraphContainer>();
+        assert_sync::<dyn GnnModel>();
+    };
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A run's final weights, losses, clip fractions and per-step ledger
+    /// ε, as bits, with every step spread over `threads` workers.
+    fn run_bits(
+        container: &SubgraphContainer,
+        cfg: &PrivImConfig,
+        privacy: Option<&PrivacySetup>,
+        threads: usize,
+    ) -> [Vec<u64>; 4] {
+        with_step_threads(threads, || {
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut model = build_model(
+                ModelKind::Grat,
+                cfg.feature_dim,
+                cfg.hidden,
+                cfg.hops,
+                &mut rng,
+            );
+            let report = train(model.as_mut(), container, cfg, privacy, &mut rng).unwrap();
+            let weights: Vec<f64> = model
+                .params()
+                .iter()
+                .flat_map(|p| p.value.data().iter().copied())
+                .collect();
+            let epsilons: Vec<f64> = report
+                .ledger
+                .iter()
+                .flat_map(|l| l.to_records())
+                .map(|r| r.epsilon_after)
+                .collect();
+            [
+                bits(&weights),
+                bits(&report.losses),
+                bits(&report.clip_fractions),
+                bits(&epsilons),
+            ]
+        })
+    }
+
+    #[test]
+    fn batch_sum_adds_in_chosen_order_whatever_the_arrival_order() {
+        // 1e16 + 1 rounds back to 1e16, so the chosen order sums these
+        // losses to 0, while the arrival order 2, 0, 1 would give 1.
+        let mut rng = StdRng::seed_from_u64(1);
+        let model = build_model(ModelKind::Gcn, 4, 8, 2, &mut rng);
+        let mut acc = BatchSum::new(model.as_ref());
+        for (pos, loss) in [(2, -1e16), (0, 1e16), (1, 1.0)] {
+            let grad = GradVec::zeros_like(model.params());
+            acc.commit(
+                pos,
+                SampleGrad {
+                    loss,
+                    grad,
+                    pre_norm: None,
+                },
+                1.0,
+            );
+        }
+        assert_eq!((acc.loss, acc.next, acc.pending.len()), (0.0, 3, 0));
+    }
+
+    #[test]
+    fn steps_are_bit_identical_at_any_thread_count() {
+        let (_, container, mut cfg) = setup(1);
+        let calibrate = |noise| {
+            PrivacySetup::calibrate(3.0, 1e-4, &cfg, container.len(), cfg.freq_threshold, noise)
+        };
+        let (gaussian, sml) = (
+            calibrate(NoiseKind::Gaussian),
+            calibrate(NoiseKind::SymmetricLaplace),
+        );
+        for loss in [LossKind::IcProduct, LossKind::LtTruncated] {
+            cfg.loss = loss;
+            for (name, privacy) in [
+                ("gaussian", Some(&gaussian)),
+                ("sml", Some(&sml)),
+                ("non-private", None),
+            ] {
+                let serial = run_bits(&container, &cfg, privacy, 1);
+                assert_eq!(serial[1].len(), cfg.iterations);
+                assert_eq!(
+                    serial[3].len(),
+                    if privacy.is_some() { cfg.iterations } else { 0 }
+                );
+                for threads in [2, 3] {
+                    assert_eq!(
+                        run_bits(&container, &cfg, privacy, threads),
+                        serial,
+                        "{loss:?} {name} at {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumable_checkpoint_is_byte_identical_at_any_thread_count() {
+        use crate::checkpoint::CheckpointStore;
+        use crate::resume::{train_resumable, ResumeOptions};
+
+        let _g = crate::checkpoint::tests::fault_lock();
+        let (_, container, cfg) = setup(3);
+        let setup = PrivacySetup::calibrate(
+            3.0,
+            1e-4,
+            &cfg,
+            container.len(),
+            cfg.freq_threshold,
+            NoiseKind::Gaussian,
+        );
+        let newest_file = |threads: usize| {
+            let dir = std::env::temp_dir().join(format!("privim-train-threads-{threads}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let store = CheckpointStore::open(&dir, 3).unwrap();
+            with_step_threads(threads, || {
+                train_resumable(
+                    ModelKind::Gcn,
+                    &container,
+                    &cfg,
+                    Some(&setup),
+                    99,
+                    &store,
+                    ResumeOptions::default(),
+                )
+            })
+            .unwrap();
+            let (_, path) = store.load_latest_valid().unwrap().unwrap();
+            let bytes = std::fs::read(path).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        };
+        let (serial, parallel) = (newest_file(1), newest_file(3));
+        assert_eq!(
+            crate::checkpoint::crc32(&parallel),
+            crate::checkpoint::crc32(&serial),
+            "checkpoint digest"
+        );
+        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -190,9 +190,10 @@ fn jsonl_telemetry_round_trips_and_leaves_results_unchanged() {
         "armed recorder must capture events under the run trace"
     );
 
-    // Span export armed: the JSONL span sink is fed only at explicit
-    // export_span call sites (the serving tier), never from the training
-    // hot path — so arming it must leave seeded outputs bit-identical.
+    // Span export armed: every span scope closed under the entered run
+    // context is exported, the training path's included; export only
+    // copies bytes out, so arming it must leave seeded outputs
+    // bit-identical.
     let span_path = std::env::temp_dir().join("privim-core-telemetry-spans.jsonl");
     std::fs::remove_file(&span_path).ok();
     privim_obs::arm_span_export("core-test", span_path.to_str().unwrap()).expect("arm span export");
@@ -265,6 +266,29 @@ fn jsonl_telemetry_round_trips_and_leaves_results_unchanged() {
         snap.counters.get("nn.flops.matmul").copied(),
         "profile work counters and metrics counter diverged"
     );
+
+    // The parallel DP-SGD step does the same kernel work at any worker
+    // count: the (flops, bytes, items) totals of each scope, summed over
+    // every thread's tree, match at 1 and 2 threads.
+    let work_totals = |threads: usize| {
+        privim_obs::reset_profile();
+        privim_obs::set_profiling(true);
+        let run = privim_core::train::with_step_threads(threads, || run_once(&g, &cfg));
+        privim_obs::set_profiling(false);
+        assert_eq!(baseline.seeds, run.seeds, "{threads} step threads");
+        let prof = privim_obs::profile_report();
+        ["nn.matmul", "train.clip_accumulate"].map(|scope| {
+            prof.rows
+                .iter()
+                .filter(|r| r.name == scope)
+                .fold((0, 0, 0), |(f, b, i), r| {
+                    (f + r.flops, b + r.bytes, i + r.items)
+                })
+        })
+    };
+    let serial = work_totals(1);
+    assert!(serial.iter().all(|&(f, b, i)| f > 0 && b > 0 && i > 0));
+    assert_eq!(work_totals(2), serial);
     privim_obs::reset_profile();
 }
 

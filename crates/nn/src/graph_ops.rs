@@ -1,11 +1,11 @@
 //! Sparse message-passing ops for GNNs.
 //!
-//! All ops operate on an edge list `(src[e], dst[e])` shared via `Rc` so the
+//! All ops operate on an edge list `(src[e], dst[e])` shared via `Arc` so the
 //! backward closures can replay the sparsity pattern without copying it.
 //! Aggregation follows the paper's convention (Eq. 2): node `u` aggregates
 //! over its *in*-neighbors, i.e. over edges whose `dst` is `u`.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use privim_obs::Scope;
 
@@ -22,9 +22,9 @@ impl Tape {
     pub fn spmm_fixed(
         &mut self,
         h: Var,
-        src: Rc<Vec<u32>>,
-        dst: Rc<Vec<u32>>,
-        coeff: Rc<Vec<f64>>,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        coeff: Arc<Vec<f64>>,
         n_out: usize,
     ) -> Var {
         assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
@@ -44,7 +44,7 @@ impl Tape {
                 *o += c * x;
             }
         }
-        let (bs, bd, bc) = (Rc::clone(&src), Rc::clone(&dst), Rc::clone(&coeff));
+        let (bs, bd, bc) = (Arc::clone(&src), Arc::clone(&dst), Arc::clone(&coeff));
         self.push(
             out,
             vec![h.0],
@@ -67,7 +67,7 @@ impl Tape {
     }
 
     /// Scales row `i` of `h` by the fixed coefficient `scale[i]`.
-    pub fn row_scale_fixed(&mut self, h: Var, scale: Rc<Vec<f64>>) -> Var {
+    pub fn row_scale_fixed(&mut self, h: Var, scale: Arc<Vec<f64>>) -> Var {
         let hv = self.value(h);
         assert_eq!(hv.rows(), scale.len(), "scale length must equal rows");
         let mut out = hv.clone();
@@ -77,7 +77,7 @@ impl Tape {
                 *x *= c;
             }
         }
-        let bscale = Rc::clone(&scale);
+        let bscale = Arc::clone(&scale);
         self.push(
             out,
             vec![h.0],
@@ -95,7 +95,7 @@ impl Tape {
     }
 
     /// Gathers rows: `out[e] = h[idx[e]]`.
-    pub fn gather_rows(&mut self, h: Var, idx: Rc<Vec<u32>>) -> Var {
+    pub fn gather_rows(&mut self, h: Var, idx: Arc<Vec<u32>>) -> Var {
         let prof = Scope::kernel("nn.gather");
         add_count("nn.edges.gather", idx.len() as u64);
         let hv = self.value(h);
@@ -107,7 +107,7 @@ impl Tape {
         for (e, &i) in idx.iter().enumerate() {
             out.row_mut(e).copy_from_slice(hv.row(i as usize));
         }
-        let bidx = Rc::clone(&idx);
+        let bidx = Arc::clone(&idx);
         self.push(
             out,
             vec![h.0],
@@ -128,7 +128,7 @@ impl Tape {
     }
 
     /// Scatter-add: `out[idx[e]] += v[e]`, producing `n_out` rows.
-    pub fn scatter_add_rows(&mut self, v: Var, idx: Rc<Vec<u32>>, n_out: usize) -> Var {
+    pub fn scatter_add_rows(&mut self, v: Var, idx: Arc<Vec<u32>>, n_out: usize) -> Var {
         let prof = Scope::kernel("nn.scatter_add");
         add_count("nn.edges.scatter_add", idx.len() as u64);
         let vv = self.value(v);
@@ -143,7 +143,7 @@ impl Tape {
                 *o += x;
             }
         }
-        let bidx = Rc::clone(&idx);
+        let bidx = Arc::clone(&idx);
         self.push(
             out,
             vec![v.0],
@@ -212,9 +212,9 @@ impl Tape {
     pub fn neighbor_survival(
         &mut self,
         a: Var,
-        src: Rc<Vec<u32>>,
-        dst: Rc<Vec<u32>>,
-        weight: Rc<Vec<f64>>,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        weight: Arc<Vec<f64>>,
         n_out: usize,
     ) -> Var {
         let _prof = Scope::kernel("nn.neighbor_survival");
@@ -226,7 +226,7 @@ impl Tape {
             let factor = 1.0 - weight[e] * av[(src[e] as usize, 0)];
             out[(dst[e] as usize, 0)] *= factor;
         }
-        let (bs, bd, bw) = (Rc::clone(&src), Rc::clone(&dst), Rc::clone(&weight));
+        let (bs, bd, bw) = (Arc::clone(&src), Arc::clone(&dst), Arc::clone(&weight));
         self.push(
             out,
             vec![a.0],
@@ -272,7 +272,7 @@ impl Tape {
     pub fn segment_softmax(
         &mut self,
         scores: Var,
-        segment: Rc<Vec<u32>>,
+        segment: Arc<Vec<u32>>,
         n_segments: usize,
     ) -> Var {
         let prof = Scope::kernel("nn.segment_softmax");
@@ -285,7 +285,7 @@ impl Tape {
         assert_eq!(sv.shape(), (segment.len(), 1), "scores must be E x 1");
         let mut out = Matrix::zeros(segment.len(), 1);
         softmax_segments(sv.data(), &segment, n_segments, out.data_mut());
-        let bseg = Rc::clone(&segment);
+        let bseg = Arc::clone(&segment);
         self.push(
             out,
             vec![scores.0],
@@ -326,9 +326,9 @@ impl Tape {
         &mut self,
         wh: Var,
         att: Var,
-        src: Rc<Vec<u32>>,
-        dst: Rc<Vec<u32>>,
-        segment: Rc<Vec<u32>>,
+        src: Arc<Vec<u32>>,
+        dst: Arc<Vec<u32>>,
+        segment: Arc<Vec<u32>>,
         n_out: usize,
         slope: f64,
     ) -> Var {
@@ -509,8 +509,8 @@ mod tests {
     use super::*;
     use crate::testutil::check_gradients;
 
-    fn rc(v: Vec<u32>) -> Rc<Vec<u32>> {
-        Rc::new(v)
+    fn rc(v: Vec<u32>) -> Arc<Vec<u32>> {
+        Arc::new(v)
     }
 
     #[test]
@@ -522,7 +522,7 @@ mod tests {
             h,
             rc(vec![0, 0, 1]),
             rc(vec![1, 2, 2]),
-            Rc::new(vec![2.0, 3.0, 0.5]),
+            Arc::new(vec![2.0, 3.0, 0.5]),
             3,
         );
         let v = t.value(out);
@@ -535,15 +535,15 @@ mod tests {
     fn spmm_fixed_gradcheck() {
         let src = rc(vec![0, 0, 1, 2, 3]);
         let dst = rc(vec![1, 2, 2, 3, 0]);
-        let coeff = Rc::new(vec![0.5, -1.0, 2.0, 0.3, 1.1]);
+        let coeff = Arc::new(vec![0.5, -1.0, 2.0, 0.3, 1.1]);
         check_gradients(
             &[(4, 3)],
             move |t, vars| {
                 let y = t.spmm_fixed(
                     vars[0],
-                    Rc::clone(&src),
-                    Rc::clone(&dst),
-                    Rc::clone(&coeff),
+                    Arc::clone(&src),
+                    Arc::clone(&dst),
+                    Arc::clone(&coeff),
                     4,
                 );
                 let y = t.tanh(y);
@@ -555,11 +555,11 @@ mod tests {
 
     #[test]
     fn row_scale_fixed_gradcheck() {
-        let scale = Rc::new(vec![0.5, 2.0, -1.0]);
+        let scale = Arc::new(vec![0.5, 2.0, -1.0]);
         check_gradients(
             &[(3, 2)],
             move |t, vars| {
-                let y = t.row_scale_fixed(vars[0], Rc::clone(&scale));
+                let y = t.row_scale_fixed(vars[0], Arc::clone(&scale));
                 let y = t.sigmoid(y);
                 t.sum(y)
             },
@@ -583,7 +583,7 @@ mod tests {
         check_gradients(
             &[(3, 2)],
             move |t, vars| {
-                let y = t.gather_rows(vars[0], Rc::clone(&idx));
+                let y = t.gather_rows(vars[0], Arc::clone(&idx));
                 let y = t.tanh(y);
                 t.sum(y)
             },
@@ -597,7 +597,7 @@ mod tests {
         check_gradients(
             &[(4, 2)],
             move |t, vars| {
-                let y = t.scatter_add_rows(vars[0], Rc::clone(&idx), 3);
+                let y = t.scatter_add_rows(vars[0], Arc::clone(&idx), 3);
                 let y = t.sigmoid(y);
                 t.sum(y)
             },
@@ -638,7 +638,7 @@ mod tests {
         check_gradients(
             &[(5, 1), (5, 1)],
             move |t, vars| {
-                let a = t.segment_softmax(vars[0], Rc::clone(&seg), 2);
+                let a = t.segment_softmax(vars[0], Arc::clone(&seg), 2);
                 let w = t.mul(a, vars[1]); // weight by arbitrary values
                 t.sum(w)
             },
@@ -655,7 +655,7 @@ mod tests {
             a,
             rc(vec![0, 1]),
             rc(vec![2, 2]),
-            Rc::new(vec![1.0, 0.5]),
+            Arc::new(vec![1.0, 0.5]),
             3,
         );
         let v = t.value(y);
@@ -669,7 +669,7 @@ mod tests {
     fn neighbor_survival_gradcheck() {
         let src = rc(vec![0, 1, 2, 0, 3]);
         let dst = rc(vec![2, 2, 3, 3, 0]);
-        let w = Rc::new(vec![0.9, 0.5, 0.7, 0.3, 0.8]);
+        let w = Arc::new(vec![0.9, 0.5, 0.7, 0.3, 0.8]);
         // Keep activations strictly inside (0, 1) so no factor is zero.
         let a0 = Matrix::from_vec(4, 1, vec![0.2, 0.6, 0.35, 0.75]);
         crate::testutil::check_gradients_at(
@@ -677,9 +677,9 @@ mod tests {
             move |t, vars| {
                 let y = t.neighbor_survival(
                     vars[0],
-                    Rc::clone(&src),
-                    Rc::clone(&dst),
-                    Rc::clone(&w),
+                    Arc::clone(&src),
+                    Arc::clone(&dst),
+                    Arc::clone(&w),
                     4,
                 );
                 t.sum(y)
@@ -697,7 +697,7 @@ mod tests {
             a,
             rc(vec![0, 2]),
             rc(vec![1, 1]),
-            Rc::new(vec![1.0, 1.0]),
+            Arc::new(vec![1.0, 1.0]),
             3,
         );
         assert_eq!(t.value(y)[(1, 0)], 0.0);
@@ -717,19 +717,19 @@ mod tests {
         t: &mut Tape,
         wh: Var,
         att: Var,
-        src: &Rc<Vec<u32>>,
-        dst: &Rc<Vec<u32>>,
-        segment: &Rc<Vec<u32>>,
+        src: &Arc<Vec<u32>>,
+        dst: &Arc<Vec<u32>>,
+        segment: &Arc<Vec<u32>>,
         n: usize,
     ) -> Var {
-        let hs = t.gather_rows(wh, Rc::clone(src));
-        let hd = t.gather_rows(wh, Rc::clone(dst));
+        let hs = t.gather_rows(wh, Arc::clone(src));
+        let hd = t.gather_rows(wh, Arc::clone(dst));
         let cat = t.concat_cols(hs, hd);
         let scores = t.matmul(cat, att);
         let scores = t.leaky_relu(scores, SLOPE);
-        let alpha = t.segment_softmax(scores, Rc::clone(segment), n);
+        let alpha = t.segment_softmax(scores, Arc::clone(segment), n);
         let msg = t.row_mul(hs, alpha);
-        let agg = t.scatter_add_rows(msg, Rc::clone(dst), n);
+        let agg = t.scatter_add_rows(msg, Arc::clone(dst), n);
         t.add(agg, wh)
     }
 
@@ -738,17 +738,17 @@ mod tests {
         fused: bool,
         wh0: &Matrix,
         att0: &Matrix,
-        src: &Rc<Vec<u32>>,
-        dst: &Rc<Vec<u32>>,
-        segment: &Rc<Vec<u32>>,
+        src: &Arc<Vec<u32>>,
+        dst: &Arc<Vec<u32>>,
+        segment: &Arc<Vec<u32>>,
     ) -> [Matrix; 3] {
         let (n, d) = wh0.shape();
         let mut t = Tape::new();
         let wh = t.leaf(wh0.clone());
         let att = t.leaf(att0.clone());
         let out = if fused {
-            let seg = Rc::clone(segment);
-            t.attention_aggregate(wh, att, Rc::clone(src), Rc::clone(dst), seg, n, SLOPE)
+            let seg = Arc::clone(segment);
+            t.attention_aggregate(wh, att, Arc::clone(src), Arc::clone(dst), seg, n, SLOPE)
         } else {
             attention_chain(&mut t, wh, att, src, dst, segment, n)
         };
@@ -839,9 +839,9 @@ mod tests {
                 let y = t.attention_aggregate(
                     vars[0],
                     vars[1],
-                    Rc::clone(&src),
-                    Rc::clone(&dst),
-                    Rc::clone(&src),
+                    Arc::clone(&src),
+                    Arc::clone(&dst),
+                    Arc::clone(&src),
                     6,
                     SLOPE,
                 );

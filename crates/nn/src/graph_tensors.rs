@@ -2,10 +2,10 @@
 //!
 //! [`GraphTensors`] precomputes, once per subgraph, everything the forward
 //! passes need: edge index arrays, GCN normalization coefficients, mean
-//! aggregation coefficients, and node features. Arrays are `Rc`-shared so
+//! aggregation coefficients, and node features. Arrays are `Arc`-shared so
 //! autograd backward closures can reference them without copies.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use privim_graph::Graph;
 
@@ -19,19 +19,19 @@ pub struct GraphTensors {
     /// Node feature matrix `N × d`.
     pub features: Matrix,
     /// Edge sources (influencers), length `E`.
-    pub src: Rc<Vec<u32>>,
+    pub src: Arc<Vec<u32>>,
     /// Edge destinations (influencees), length `E`.
-    pub dst: Rc<Vec<u32>>,
+    pub dst: Arc<Vec<u32>>,
     /// IC influence probability `w_vu` per edge.
-    pub edge_weight: Rc<Vec<f64>>,
+    pub edge_weight: Arc<Vec<f64>>,
     /// GCN symmetric normalization `1 / sqrt((din(dst)+1)(dout(src)+1))`.
-    pub gcn_coeff: Rc<Vec<f64>>,
+    pub gcn_coeff: Arc<Vec<f64>>,
     /// GCN self-loop coefficient `1 / (din(u)+1)` per node.
-    pub gcn_self: Rc<Vec<f64>>,
+    pub gcn_self: Arc<Vec<f64>>,
     /// Mean-aggregator coefficient `1 / din(dst)` per edge.
-    pub mean_coeff: Rc<Vec<f64>>,
+    pub mean_coeff: Arc<Vec<f64>>,
     /// All-ones coefficient per edge (sum aggregation, GIN).
-    pub ones_coeff: Rc<Vec<f64>>,
+    pub ones_coeff: Arc<Vec<f64>>,
 }
 
 impl GraphTensors {
@@ -66,13 +66,13 @@ impl GraphTensors {
         GraphTensors {
             num_nodes: g.num_nodes(),
             features,
-            src: Rc::new(src),
-            dst: Rc::new(dst),
-            edge_weight: Rc::new(edge_weight),
-            gcn_coeff: Rc::new(gcn_coeff),
-            gcn_self: Rc::new(gcn_self),
-            mean_coeff: Rc::new(mean_coeff),
-            ones_coeff: Rc::new(vec![1.0; m]),
+            src: Arc::new(src),
+            dst: Arc::new(dst),
+            edge_weight: Arc::new(edge_weight),
+            gcn_coeff: Arc::new(gcn_coeff),
+            gcn_self: Arc::new(gcn_self),
+            mean_coeff: Arc::new(mean_coeff),
+            ones_coeff: Arc::new(vec![1.0; m]),
         }
     }
 

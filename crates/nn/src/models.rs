@@ -19,7 +19,7 @@
 //!   followed by a two-layer MLP.
 //! - **MLP** — ignores edges entirely (sanity baseline).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::graph_tensors::GraphTensors;
 use crate::params::ParamSet;
@@ -77,7 +77,10 @@ impl std::fmt::Display for ModelKind {
 }
 
 /// A trainable GNN producing per-node seed probabilities.
-pub trait GnnModel {
+///
+/// `Sync`, so one model can be shared by the threads of a parallel
+/// DP-SGD step: `forward` only reads the parameters.
+pub trait GnnModel: Sync {
     /// Architecture name for logs and result tables.
     fn kind(&self) -> ModelKind;
 
@@ -92,10 +95,11 @@ pub trait GnnModel {
     /// vector variable.
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, pv: &[Var]) -> Var;
 
-    /// Convenience inference: runs `forward` on a throwaway tape and
+    /// Convenience inference: runs `forward` on a throwaway
+    /// [`Tape::no_grad`] tape, which keeps no backward state, and
     /// extracts the probabilities.
     fn seed_probabilities(&self, gt: &GraphTensors) -> Vec<f64> {
-        let mut tape = Tape::new();
+        let mut tape = Tape::no_grad();
         let pv = self.params().bind(&mut tape);
         let out = self.forward(&mut tape, gt, &pv);
         tape.value(out).data().to_vec()
@@ -293,12 +297,12 @@ impl GnnModel for Gcn {
         for (l, lin) in self.linears.iter().enumerate() {
             let agg = tape.spmm_fixed(
                 h,
-                Rc::clone(&gt.src),
-                Rc::clone(&gt.dst),
-                Rc::clone(&gt.gcn_coeff),
+                Arc::clone(&gt.src),
+                Arc::clone(&gt.dst),
+                Arc::clone(&gt.gcn_coeff),
                 gt.num_nodes,
             );
-            let self_term = tape.row_scale_fixed(h, Rc::clone(&gt.gcn_self));
+            let self_term = tape.row_scale_fixed(h, Arc::clone(&gt.gcn_self));
             let combined = tape.add(agg, self_term);
             let z = lin.apply(tape, pv, combined);
             h = activate(tape, z, l + 1 == n_layers);
@@ -358,9 +362,9 @@ impl GnnModel for GraphSage {
         for (l, lin) in self.linears.iter().enumerate() {
             let mean = tape.spmm_fixed(
                 h,
-                Rc::clone(&gt.src),
-                Rc::clone(&gt.dst),
-                Rc::clone(&gt.mean_coeff),
+                Arc::clone(&gt.src),
+                Arc::clone(&gt.dst),
+                Arc::clone(&gt.mean_coeff),
                 gt.num_nodes,
             );
             let cat = tape.concat_cols(h, mean);
@@ -468,9 +472,9 @@ impl Attention {
             tape.attention_aggregate(
                 wh,
                 pv[att_param],
-                Rc::clone(&gt.src),
-                Rc::clone(&gt.dst),
-                Rc::clone(group),
+                Arc::clone(&gt.src),
+                Arc::clone(&gt.dst),
+                Arc::clone(group),
                 gt.num_nodes,
                 ATTENTION_SLOPE,
             )
@@ -588,9 +592,9 @@ impl GnnModel for Gin {
         for l in 0..n_layers {
             let agg = tape.spmm_fixed(
                 h,
-                Rc::clone(&gt.src),
-                Rc::clone(&gt.dst),
-                Rc::clone(&gt.ones_coeff),
+                Arc::clone(&gt.src),
+                Arc::clone(&gt.dst),
+                Arc::clone(&gt.ones_coeff),
                 gt.num_nodes,
             );
             let one_plus = tape.add_scalar(pv[self.omega[l]], 1.0);
@@ -711,6 +715,36 @@ mod tests {
     fn all_models_forward_and_backward() {
         for kind in ModelKind::ALL {
             check_model(kind);
+        }
+    }
+
+    #[test]
+    fn no_grad_inference_is_bit_equal_to_a_recording_tape() {
+        // A random graph with mixed in- and out-degrees, so every
+        // aggregation (GCN, mean, sum, both attention normalizations)
+        // has uneven rows.
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut b = GraphBuilder::new(12);
+        for v in 0..12u32 {
+            for u in 0..12u32 {
+                if v != u && rng.gen_range(0.0..1.0) < 0.3 {
+                    b.add_edge(v, u, rng.gen_range(0.05..1.0));
+                }
+            }
+        }
+        let gt = GraphTensors::with_structural_features(&b.build(), 4);
+        for kind in ModelKind::ALL {
+            let model = build_model(kind, 4, 8, 3, &mut rng);
+            let mut tape = Tape::new();
+            let pv = model.params().bind(&mut tape);
+            let out = model.forward(&mut tape, &gt, &pv);
+            let recorded: Vec<u64> = tape.value(out).data().iter().map(|p| p.to_bits()).collect();
+            let inferred: Vec<u64> = model
+                .seed_probabilities(&gt)
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(inferred, recorded, "{kind}");
         }
     }
 

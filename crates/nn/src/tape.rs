@@ -40,6 +40,8 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    /// Set by [`Tape::no_grad`]: ops keep only their values.
+    no_grad: bool,
 }
 
 /// Gradients computed by [`Tape::backward`], indexed by [`Var`].
@@ -66,6 +68,18 @@ impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// An empty inference-only tape. Each op records its value and drops
+    /// its parents and backward function at once, with the edge-length
+    /// buffers those capture, so a forward pass holds only its values.
+    /// Values are bit-equal to a recording tape's; [`Tape::backward`]
+    /// panics.
+    pub fn no_grad() -> Self {
+        Tape {
+            no_grad: true,
+            ..Tape::default()
+        }
     }
 
     /// Number of recorded nodes.
@@ -97,6 +111,11 @@ impl Tape {
         // Non-finite values are recorded as they are, in every build
         // profile: the training loop's non-finite guard owns that
         // condition (it skips the step and aborts a divergent streak).
+        let (parents, backward) = if self.no_grad {
+            (Vec::new(), None)
+        } else {
+            (parents, backward)
+        };
         self.nodes.push(Node {
             value,
             parents,
@@ -108,8 +127,13 @@ impl Tape {
     /// Runs the backward pass from scalar `loss` (must be 1×1).
     ///
     /// # Panics
-    /// If `loss` is not a 1×1 variable on this tape.
+    /// If `loss` is not a 1×1 variable on this tape, or the tape is a
+    /// [`Tape::no_grad`] one.
     pub fn backward(&self, loss: Var) -> Gradients {
+        assert!(
+            !self.no_grad,
+            "Tape::backward on a no_grad tape: it recorded no backward functions"
+        );
         assert_eq!(
             self.nodes[loss.0].value.shape(),
             (1, 1),
@@ -462,6 +486,36 @@ mod tests {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::zeros(2, 2));
         t.backward(a);
+    }
+
+    #[test]
+    fn no_grad_tape_records_values_only() {
+        let build = |t: &mut Tape| {
+            let a = t.leaf(Matrix::from_vec(2, 2, vec![1., -2., 3., 4.]));
+            let b = t.leaf(Matrix::from_vec(2, 2, vec![0.5, 1., -1., 2.]));
+            let c = t.matmul(a, b);
+            let s = t.sigmoid(c);
+            t.sum(s)
+        };
+        let (mut grad, mut infer) = (Tape::new(), Tape::no_grad());
+        let (lg, li) = (build(&mut grad), build(&mut infer));
+        assert_eq!(
+            grad.value(lg).as_scalar().to_bits(),
+            infer.value(li).as_scalar().to_bits()
+        );
+        assert!(infer
+            .nodes
+            .iter()
+            .all(|n| n.parents.is_empty() && n.backward.is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "no_grad tape")]
+    fn backward_on_no_grad_tape_panics() {
+        let mut t = Tape::no_grad();
+        let a = t.leaf(Matrix::scalar(1.0));
+        let loss = t.scale(a, 2.0);
+        t.backward(loss);
     }
 
     #[test]

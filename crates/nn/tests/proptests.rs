@@ -178,7 +178,7 @@ fn segment_softmax_sums_to_one_per_segment() {
         let segs: Vec<u32> = (0..10).map(|_| rng.gen_range(0..3u32)).collect();
         let mut t = Tape::new();
         let s = t.leaf(Matrix::from_vec(10, 1, scores));
-        let seg = std::rc::Rc::new(segs.clone());
+        let seg = std::sync::Arc::new(segs.clone());
         let y = t.segment_softmax(s, seg, 3);
         let mut sums = [0.0f64; 3];
         for (e, &g) in segs.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! well-posed objective. These catch broken gradients or dead
 //! parameterizations that forward/backward shape tests cannot.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use privim_graph::GraphBuilder;
 use privim_nn::prelude::*;
@@ -149,9 +149,9 @@ fn gradient_descent_on_neighbor_survival_selects_hub() {
         let xv = tape.leaf(x.clone());
         let survive = tape.neighbor_survival(
             xv,
-            Rc::clone(&gt.src),
-            Rc::clone(&gt.dst),
-            Rc::clone(&gt.edge_weight),
+            Arc::clone(&gt.src),
+            Arc::clone(&gt.dst),
+            Arc::clone(&gt.edge_weight),
             gt.num_nodes,
         );
         let not_seed = tape.one_minus(xv);

@@ -186,11 +186,20 @@ impl ThreadTree {
 static TREES: Mutex<Vec<Arc<Mutex<ThreadTree>>>> = Mutex::new(Vec::new());
 
 thread_local! {
-    /// This thread's call tree, registered for merging on first use.
+    /// This thread's call tree, registered for merging on first use. A
+    /// tree whose thread has exited (only the registry still holds it,
+    /// and no scope of it is open) is adopted instead, so short-lived
+    /// workers, one set per parallel step, do not grow the registry.
     static LOCAL: Arc<Mutex<ThreadTree>> = {
-        let tree = Arc::new(Mutex::new(ThreadTree::new()));
-        TREES.lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&tree));
-        tree
+        let mut trees = TREES.lock().unwrap_or_else(PoisonError::into_inner);
+        match trees.iter().find(|t| Arc::strong_count(t) == 1) {
+            Some(orphan) => Arc::clone(orphan),
+            None => {
+                let tree = Arc::new(Mutex::new(ThreadTree::new()));
+                trees.push(Arc::clone(&tree));
+                tree
+            }
+        }
     };
 }
 
@@ -420,6 +429,35 @@ pub(crate) mod tests {
             clock.advance_secs(5.0);
         }
         assert!(profile_report().row("prof_inert_scope").is_none());
+    }
+
+    #[test]
+    fn exited_threads_trees_are_adopted() {
+        let _guard = test_lock();
+        set_profiling(true);
+        reset_profile();
+        let worker = || {
+            std::thread::spawn(|| drop(Scope::kernel("prof_adopt_test")))
+                .join()
+                .unwrap()
+        };
+        worker();
+        let registered = || TREES.lock().unwrap_or_else(PoisonError::into_inner).len();
+        let before = registered();
+        for _ in 0..8 {
+            worker();
+        }
+        let after = registered();
+        set_profiling(false);
+        // Threads of concurrently running tests may register trees of
+        // their own, but eight joined workers must not add eight.
+        assert!(after < before + 8, "{before} -> {after} trees");
+        let row = profile_report().row("prof_adopt_test").cloned();
+        assert_eq!(
+            row.map(|r| r.calls),
+            Some(9),
+            "adopted trees keep their stats"
+        );
     }
 
     #[test]

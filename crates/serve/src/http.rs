@@ -1,9 +1,10 @@
 //! Minimal HTTP/1.1 message handling over blocking streams.
 //!
 //! Implements exactly the subset the inference server needs — request
-//! parsing with `Content-Length` bodies, response writing, and keep-alive
-//! negotiation — on plain `std::io` traits, so the whole layer stays
-//! dependency-free and unit-testable against in-memory buffers.
+//! parsing with `Content-Length` and `chunked` bodies, response writing,
+//! and keep-alive negotiation — on plain `std::io` traits, so the whole
+//! layer stays dependency-free and unit-testable against in-memory
+//! buffers.
 
 use std::io::{BufRead, Read, Write};
 
@@ -11,8 +12,12 @@ use privim_obs::json::ToJson;
 
 /// Upper bound on a single header line (request line included).
 const MAX_LINE_BYTES: usize = 8 * 1024;
-/// Upper bound on the number of header fields per request.
+/// Upper bound on the number of header fields per request, and on the
+/// trailer fields of a chunked body.
 const MAX_HEADERS: usize = 100;
+/// Upper bound on the hex digits of a chunk size: 16 hold any `u64`;
+/// a longer size is an overflow or padding, and is refused either way.
+const MAX_CHUNK_SIZE_DIGITS: usize = 16;
 
 /// The one `Retry-After` value every 503 in the tier advertises — queue
 /// shed, loading gate, drain, and router no-backend alike — so clients
@@ -59,10 +64,15 @@ pub struct Request {
     pub path: String,
     /// Header fields in arrival order, names lower-cased.
     pub headers: Vec<(String, String)>,
-    /// Request body (empty unless `Content-Length` said otherwise).
+    /// Request body: `Content-Length` bytes, or a decoded `chunked`
+    /// body; empty without either.
     pub body: Vec<u8>,
     /// True for `HTTP/1.1`, false for `HTTP/1.0`.
     pub http11: bool,
+    /// A transfer coding the parser does not implement, if the request
+    /// named one. Its body is unread, so the connection has no next
+    /// request boundary: answer 501 and close it.
+    pub unsupported_coding: Option<String>,
 }
 
 impl Request {
@@ -183,12 +193,113 @@ fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, HttpErr
     len.parse().map(Some).map_err(|_| bad())
 }
 
+/// How a request's body is framed (RFC 9112 §6.3).
+enum Framing {
+    None,
+    Length(usize),
+    Chunked,
+    Unsupported(String),
+}
+
+/// The request's body framing. `chunked` must be the only coding
+/// (applying it twice is an error); a coding this parser does not
+/// implement is reported for a 501 (RFC 9112 §6.1) rather than
+/// guessed at. HTTP/1.0 has no transfer codings, so one there is an
+/// error.
+fn framing(headers: &[(String, String)], http11: bool) -> Result<Framing, HttpError> {
+    let length = content_length(headers)?;
+    let codings: Vec<String> = headers
+        .iter()
+        .filter(|(n, _)| n == "transfer-encoding")
+        .flat_map(|(_, v)| v.split(','))
+        .map(|c| c.trim().to_ascii_lowercase())
+        .collect();
+    if codings.is_empty() {
+        return Ok(length.map_or(Framing::None, Framing::Length));
+    }
+    if !http11 {
+        return Err(HttpError::Malformed(
+            "transfer-encoding in an HTTP/1.0 request".into(),
+        ));
+    }
+    if codings.iter().any(String::is_empty) {
+        return Err(HttpError::Malformed("empty transfer coding".into()));
+    }
+    if let Some(other) = codings.iter().find(|c| *c != "chunked") {
+        return Ok(Framing::Unsupported(other.clone()));
+    }
+    if codings.len() > 1 {
+        return Err(HttpError::Malformed(
+            "chunked applied more than once".into(),
+        ));
+    }
+    Ok(Framing::Chunked)
+}
+
+/// Fills `buf` from `r`; a short stream is [`HttpError::UnexpectedEof`].
+fn read_bytes<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), HttpError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => HttpError::UnexpectedEof,
+        _ => HttpError::Io(e),
+    })
+}
+
+/// The size on a chunk-size line, `1*HEXDIG [ chunk-ext ]`; the
+/// extension is ignored.
+fn chunk_size(line: &str) -> Result<u64, HttpError> {
+    let digits = line
+        .split(';')
+        .next()
+        .unwrap_or_default()
+        .trim_end_matches([' ', '\t']);
+    let bad = || HttpError::Malformed(format!("bad chunk size: {line:?}"));
+    if !(1..=MAX_CHUNK_SIZE_DIGITS).contains(&digits.len())
+        || !digits.bytes().all(|b| b.is_ascii_hexdigit())
+    {
+        return Err(bad());
+    }
+    u64::from_str_radix(digits, 16).map_err(|_| bad())
+}
+
+/// Decodes a `chunked` body (RFC 9112 §7.1) of at most `max_body`
+/// decoded bytes. Chunk extensions and trailer fields are read and
+/// dropped.
+fn read_chunked<R: BufRead>(r: &mut R, max_body: usize) -> Result<Vec<u8>, HttpError> {
+    let mut body = Vec::new();
+    loop {
+        let line = read_line(r)?.ok_or(HttpError::UnexpectedEof)?;
+        let size = chunk_size(&line)?;
+        if size == 0 {
+            break;
+        }
+        let start = body.len();
+        let end = usize::try_from(size)
+            .ok()
+            .and_then(|n| start.checked_add(n))
+            .filter(|&end| end <= max_body)
+            .ok_or_else(|| HttpError::TooLarge(format!("chunked body over {max_body} bytes")))?;
+        body.resize(end, 0);
+        read_bytes(r, &mut body[start..])?;
+        if !read_line(r)?.ok_or(HttpError::UnexpectedEof)?.is_empty() {
+            return Err(HttpError::Malformed("chunk longer than its size".into()));
+        }
+    }
+    for _ in 0..=MAX_HEADERS {
+        if read_line(r)?.ok_or(HttpError::UnexpectedEof)?.is_empty() {
+            return Ok(body);
+        }
+    }
+    Err(HttpError::TooLarge("too many trailer fields".into()))
+}
+
 /// Reads one request from `r`.
 ///
 /// Returns `Ok(None)` when the peer closed the connection cleanly before
-/// sending anything (the normal end of a keep-alive session). Bodies are
-/// only read when one unambiguous `Content-Length` is present and at
-/// most `max_body` bytes.
+/// sending anything (the normal end of a keep-alive session). A body is
+/// read when one unambiguous `Content-Length` or the `chunked` coding
+/// frames it, and only up to `max_body` (decoded) bytes. A request that
+/// names another coding comes back with
+/// [`Request::unsupported_coding`] set and its body unread.
 pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Request>, HttpError> {
     let Some(request_line) = read_line(r)? else {
         return Ok(None);
@@ -229,23 +340,21 @@ pub fn read_request<R: BufRead>(r: &mut R, max_body: usize) -> Result<Option<Req
         headers,
         body: Vec::new(),
         http11,
+        unsupported_coding: None,
     };
-    if let Some(len) = content_length(&req.headers)? {
-        if len > max_body {
-            return Err(HttpError::TooLarge(format!(
-                "body of {len} bytes (limit {max_body})"
-            )));
+    match framing(&req.headers, http11)? {
+        Framing::None => {}
+        Framing::Length(len) => {
+            if len > max_body {
+                return Err(HttpError::TooLarge(format!(
+                    "body of {len} bytes (limit {max_body})"
+                )));
+            }
+            req.body = vec![0u8; len];
+            read_bytes(r, &mut req.body)?;
         }
-        let mut body = vec![0u8; len];
-        std::io::Read::read_exact(r, &mut body).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => HttpError::UnexpectedEof,
-            _ => HttpError::Io(e),
-        })?;
-        req.body = body;
-    } else if req.header("transfer-encoding").is_some() {
-        return Err(HttpError::Malformed(
-            "chunked bodies are not supported".into(),
-        ));
+        Framing::Chunked => req.body = read_chunked(r, max_body)?,
+        Framing::Unsupported(coding) => req.unsupported_coding = Some(coding),
     }
     Ok(Some(req))
 }
@@ -315,6 +424,7 @@ impl Response {
             408 => "Request Timeout",
             413 => "Payload Too Large",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -447,6 +557,88 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, HttpError::Malformed(_)), "{err}");
         assert_eq!(err.status(), Some(400));
+    }
+
+    fn chunked(body: &str) -> String {
+        format!("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n{body}")
+    }
+
+    #[test]
+    fn decodes_chunked_bodies() {
+        let req = parse(&chunked("5\r\nhello\r\n0\r\n\r\n")).unwrap().unwrap();
+        assert_eq!(req.body, b"hello");
+        assert_eq!(req.unsupported_coding, None);
+        // Several chunks, upper-case hex, an extension, a trailer field,
+        // then the next keep-alive request on the same stream.
+        let raw = chunked("3;name=v\r\nabc\r\nA\r\n0123456789\r\n0\r\nX-Sum: 1\r\n\r\n")
+            + "GET /next HTTP/1.1\r\n\r\n";
+        let mut stream = raw.as_bytes();
+        let req = read_request(&mut stream, 1024).unwrap().unwrap();
+        assert_eq!(req.body, b"abc0123456789");
+        let next = read_request(&mut stream, 1024).unwrap().unwrap();
+        assert_eq!(next.path, "/next");
+    }
+
+    #[test]
+    fn chunked_body_limit_applies_to_the_decoded_size() {
+        // 600 + 600 decoded bytes against a 1024-byte limit.
+        let part = "x".repeat(600);
+        let err = parse(&chunked(&format!(
+            "258\r\n{part}\r\n258\r\n{part}\r\n0\r\n\r\n"
+        )))
+        .unwrap_err();
+        assert!(matches!(err, HttpError::TooLarge(_)), "{err}");
+        assert_eq!(err.status(), Some(413));
+        // A size that does not fit any buffer is refused before reading.
+        let err = parse(&chunked("ffffffffffffffff\r\n")).unwrap_err();
+        assert_eq!(err.status(), Some(413), "{err}");
+    }
+
+    #[test]
+    fn rejects_bad_chunk_framing() {
+        for body in [
+            "1ffffffffffffffff\r\n",                   // 17 digits: over the bound
+            "00000000000000005\r\nhello\r\n0\r\n\r\n", // padded past the bound
+            "+5\r\nhello\r\n0\r\n\r\n",                // not 1*HEXDIG
+            "\r\n",                                    // no size
+            "5\r\nhello!\r\n0\r\n\r\n",                // data longer than its size
+        ] {
+            let err = parse(&chunked(body)).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{body:?}: {err}");
+            assert_eq!(err.status(), Some(400));
+        }
+        let err = parse(&chunked("5\r\nhel")).unwrap_err();
+        assert!(matches!(err, HttpError::UnexpectedEof), "{err}");
+        for head in [
+            "POST / HTTP/1.1\r\nTransfer-Encoding: chunked, chunked\r\n\r\n",
+            "POST / HTTP/1.1\r\nTransfer-Encoding: ,chunked\r\n\r\n",
+            "POST / HTTP/1.0\r\nTransfer-Encoding: chunked\r\n\r\n",
+        ] {
+            let err = parse(head).unwrap_err();
+            assert_eq!(err.status(), Some(400), "{head:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_transfer_codings_are_reported_for_501() {
+        for (coding, expected) in [
+            ("gzip", "gzip"),
+            ("GZIP, chunked", "gzip"),
+            ("chunked, br", "br"),
+        ] {
+            let req = parse(&format!(
+                "POST / HTTP/1.1\r\nTransfer-Encoding: {coding}\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            ))
+            .unwrap()
+            .unwrap();
+            assert_eq!(
+                req.unsupported_coding.as_deref(),
+                Some(expected),
+                "{coding}"
+            );
+            assert!(req.body.is_empty(), "the body stays unread");
+        }
+        assert_eq!(Response::text(501, "").reason(), "Not Implemented");
     }
 
     #[test]

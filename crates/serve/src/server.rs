@@ -501,6 +501,13 @@ fn serve_connection(
                 return;
             }
         };
+        if let Some(coding) = &request.unsupported_coding {
+            // Its body was not read, so nothing after it can be parsed.
+            privim_obs::counter("serve.bad_requests").add(1);
+            let message = format!("transfer coding {coding:?} is not implemented");
+            let _ = Response::error(501, &message).write_to(&mut stream, false);
+            return;
+        }
         let is_readyz = request.route() == "/readyz";
         let label = if is_readyz {
             "readyz"
@@ -911,6 +918,32 @@ mod tests {
         // The worker survives and serves the next request.
         let mut client = HttpClient::connect(addr).unwrap();
         assert_eq!(client.post("/echo", b"x").unwrap().status, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn chunked_bodies_are_served_and_unknown_codings_get_501() {
+        use std::io::{Read, Write};
+        let server = start(1, 4);
+        let exchange = |raw: &str| {
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream.write_all(raw.as_bytes()).unwrap();
+            let mut buf = String::new();
+            let _ = stream.read_to_string(&mut buf);
+            buf
+        };
+        let echoed = exchange(
+            "POST /echo HTTP/1.1\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+             4\r\n{\"k\"\r\n3\r\n:3}\r\n0\r\n\r\n",
+        );
+        assert!(echoed.starts_with("HTTP/1.1 200"), "{echoed}");
+        assert!(echoed.ends_with("\r\n\r\n{\"k\":3}"), "{echoed}");
+        let refused = exchange("POST /echo HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n\x1f\u{8b}");
+        assert!(
+            refused.starts_with("HTTP/1.1 501 Not Implemented"),
+            "{refused}"
+        );
+        assert!(refused.contains("Connection: close"), "{refused}");
         server.shutdown();
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests of individual crate seams: graph ↔ nn tensors,
 //! dp accounting ↔ training, loss ↔ diffusion simulation.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use privim::core::config::PrivImConfig;
 use privim::core::loss::im_loss_value;
@@ -202,9 +202,9 @@ fn spmm_matches_dense_adjacency_multiply() {
     let xv = tape.leaf(x.clone());
     let out = tape.spmm_fixed(
         xv,
-        Rc::clone(&gt.src),
-        Rc::clone(&gt.dst),
-        Rc::clone(&gt.edge_weight),
+        Arc::clone(&gt.src),
+        Arc::clone(&gt.dst),
+        Arc::clone(&gt.edge_weight),
         4,
     );
 
