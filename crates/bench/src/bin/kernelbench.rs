@@ -1,8 +1,9 @@
 //! Deterministic micro-benchmarks for the instrumented hot kernels.
 //!
 //! Runs every kernel the profiler attributes roofline counters to —
-//! tape matmul, SpMM, gather/scatter, segment softmax (forward and
-//! backward via the tape), DP-SGD clip+accumulate, and Monte Carlo
+//! tape matmul, SpMM, the fused attention head, gather/scatter, segment
+//! softmax (forward and backward via the tape), DP-SGD clip+accumulate,
+//! and Monte Carlo
 //! spread — on seeded synthetic workloads at two sizes, and emits the
 //! standard `{seed, rows, telemetry}` envelope.
 //!
@@ -191,6 +192,25 @@ fn bench_spmm(s: &mut Stream, dims: Dims) -> f64 {
     out_sum + grads.take(vh, (n, d)).sum()
 }
 
+/// One GRAT attention head (`attention_aggregate`, softmax by source) on
+/// an edge list sorted by `(src, dst)`, as `GraphTensors` builds them.
+fn bench_attention(s: &mut Stream, dims: Dims) -> f64 {
+    let Dims { n, e, d } = dims;
+    let wh = s.matrix(n, d);
+    let att = s.matrix(2 * d, 1);
+    let mut edges: Vec<(u32, u32)> = (0..e).map(|_| (s.index(n), s.index(n))).collect();
+    edges.sort_unstable();
+    let (src, dst): (Vec<u32>, Vec<u32>) = edges.into_iter().unzip();
+    let (src, dst) = (Arc::new(src), Arc::new(dst));
+    let mut tape = Tape::new();
+    let (vw, va) = (tape.leaf(wh), tape.leaf(att));
+    let out = tape.attention_aggregate(vw, va, Arc::clone(&src), dst, src, n, 0.2);
+    let loss = tape.sum(out);
+    let out_sum = tape.value(out).sum();
+    let mut grads = tape.backward(loss);
+    out_sum + grads.take(vw, (n, d)).sum() + grads.take(va, (2 * d, 1)).sum()
+}
+
 fn bench_gather(s: &mut Stream, dims: Dims) -> f64 {
     let Dims { n, e, d } = dims;
     let h = s.matrix(n, d);
@@ -285,9 +305,10 @@ fn bench_mc_spread(s: &mut Stream, dims: Dims) -> f64 {
     )
 }
 
-const KERNELS: [(&str, KernelFn); 7] = [
+const KERNELS: [(&str, KernelFn); 8] = [
     ("matmul", bench_matmul),
     ("spmm", bench_spmm),
+    ("attention", bench_attention),
     ("gather", bench_gather),
     ("scatter_add", bench_scatter_add),
     ("segment_softmax", bench_segment_softmax),

@@ -7,8 +7,6 @@
 //! noise can be disabled (non-private) or swapped for Symmetric
 //! Multivariate Laplace (the HP baseline).
 
-use std::cell::Cell;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -21,6 +19,7 @@ use privim_dp::mechanisms::{gaussian, symmetric_multivariate_laplace};
 use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
 use privim_nn::models::GnnModel;
 use privim_nn::optim::{Optimizer, OptimizerSnapshot, Sgd};
+use privim_nn::par;
 use privim_nn::params::GradVec;
 use privim_nn::tape::Tape;
 
@@ -279,10 +278,11 @@ impl BatchSum {
 /// per epoch) — both must take bitwise-identical steps.
 ///
 /// The chosen subgraphs' forward, loss, backward and clip run on
-/// `threads` workers: the caller and `threads − 1` scoped helpers, which
-/// claim positions in `chosen` from one counter and adopt the caller's
-/// trace context. [`BatchSum`] commits the results in `chosen` order, so
-/// the step is bit-identical at every thread count.
+/// `threads` workers of one [`par::fan_out`]: the caller and
+/// `threads − 1` scoped helpers, which claim positions in `chosen` from
+/// one counter and open their scopes under the caller's. [`BatchSum`]
+/// commits the results in `chosen` order, so the step is bit-identical
+/// at every thread count.
 ///
 /// RNG discipline: only batch selection and noise sampling touch `rng`,
 /// both on the caller, in that order; the workers, the non-finite guard
@@ -337,16 +337,7 @@ pub(crate) fn dp_step<R: Rng + ?Sized>(
             .unwrap_or_else(PoisonError::into_inner)
             .commit(pos, sample, config.clip_bound);
     };
-    let caller_trace = privim_obs::current_trace();
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| match caller_trace {
-                Some(ctx) => privim_obs::with_trace(ctx, work),
-                None => work(),
-            });
-        }
-        work();
-    });
+    par::fan_out(vec![(); threads], |()| work());
     let acc = acc.into_inner().unwrap_or_else(PoisonError::into_inner);
     debug_assert_eq!(acc.next, chosen.len(), "every chosen sample committed");
     let mut sum = acc.sum;
@@ -410,37 +401,12 @@ pub(crate) fn dp_step<R: Rng + ?Sized>(
     })
 }
 
-thread_local! {
-    /// The worker count [`with_step_threads`] pinned on this thread.
-    static STEP_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Workers per DP-SGD step: the machine's available parallelism, or the
-/// count [`with_step_threads`] pinned, capped at the batch size (a
-/// worker without a sample would only idle).
-fn step_threads(batch: usize) -> usize {
-    STEP_THREADS
-        .with(Cell::get)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-        .clamp(1, batch.max(1))
-}
-
-/// Runs `f` with every DP-SGD step it takes on this thread spread over
-/// exactly `threads` workers (at most one per batch sample). A step's
-/// result does not depend on its worker count; tests use this to pin
-/// the count and prove it.
+/// Runs `f` with every DP-SGD step and graph-scale kernel it runs on this
+/// thread spread over `threads` workers ([`par::with_threads`]; a step
+/// uses at most one per batch sample). Results do not depend on the
+/// count; tests use this to pin the count and prove it.
 #[doc(hidden)]
-pub fn with_step_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            STEP_THREADS.with(|c| c.set(self.0));
-        }
-    }
-    assert!(threads >= 1, "a step needs at least one worker");
-    let _restore = Restore(STEP_THREADS.with(|c| c.replace(Some(threads))));
-    f()
-}
+pub use privim_nn::par::with_threads as with_step_threads;
 
 /// Runs Algorithm 2. With `privacy = None`, runs the non-private variant
 /// (no clipping, no noise) used by the `ε = ∞` reference.
@@ -567,7 +533,9 @@ pub(crate) fn run_epochs<S: EpochRng>(
     let m = container.len();
     let batch = config.batch_size.min(m);
     let indices: Vec<usize> = (0..m).collect();
-    let threads = step_threads(batch);
+    // Workers per step, capped at the batch size: a worker without a
+    // sample would only idle.
+    let threads = par::threads().min(batch.max(1));
     let sub = privacy.map(|setup| setup.subsampled_config(config, m));
     let start_epoch = state.epoch;
     let mut durable = cadence.and_then(|c| c.durable);

@@ -292,6 +292,58 @@ fn jsonl_telemetry_round_trips_and_leaves_results_unchanged() {
     privim_obs::reset_profile();
 }
 
+// Worker threads open their scopes under the caller's, so the profile
+// tree has the same rows, calls and work at any worker count: the DP-SGD
+// step's helpers, the Monte-Carlo fan-out and, on a graph above the work
+// floor, the row-parallel inference kernels.
+#[test]
+fn profile_rows_are_the_same_at_one_and_two_threads() {
+    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = StdRng::seed_from_u64(3);
+    let g = holme_kim(400, 4, 0.4, 1.0, &mut rng);
+    let cfg = PrivImConfig {
+        hidden: 32,
+        ..fast_config()
+    };
+    assert!(g.num_edges() * cfg.hidden >= privim_nn::par::WORK_FLOOR);
+    let rows = |threads: usize| {
+        privim_obs::reset_profile();
+        privim_obs::set_profiling(true);
+        let run = privim_core::train::with_step_threads(threads, || run_once(&g, &cfg));
+        privim_obs::set_profiling(false);
+        let rows: Vec<_> = privim_obs::profile_report()
+            .rows
+            .into_iter()
+            .map(|r| (r.path, r.calls, r.flops, r.bytes, r.items))
+            .collect();
+        (run.seeds, rows)
+    };
+    let (serial_seeds, mut serial) = rows(1);
+    let (seeds, mut parallel) = rows(2);
+    privim_obs::reset_profile();
+    assert_eq!(seeds, serial_seeds);
+    // Siblings are listed by time, which differs run to run.
+    serial.sort();
+    parallel.sort();
+    let paths = |rows: &[(String, u64, u64, u64, u64)]| -> Vec<String> {
+        rows.iter().map(|r| r.0.clone()).collect()
+    };
+    assert_eq!(paths(&parallel), paths(&serial));
+    assert_eq!(parallel, serial);
+    for kernel in ["nn.attention", "nn.matmul", "train.clip_accumulate"] {
+        assert!(
+            serial
+                .iter()
+                .any(|r| r.0.ends_with(kernel) && r.0.contains(';')),
+            "{kernel} runs under a phase"
+        );
+        assert!(
+            !serial.iter().any(|r| r.0 == kernel),
+            "{kernel} at top level"
+        );
+    }
+}
+
 // Both entry points run one epoch loop, so the crash-safe one reports the
 // same per-epoch record and the same ledger as the pipeline case above.
 #[test]

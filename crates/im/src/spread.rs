@@ -249,18 +249,19 @@ pub fn influence_spread_parallel(
     // item counter (not flops/bytes) is the unit of throughput here.
     prof.add_work(0, 0, trials as u64);
     let started = std::time::Instant::now();
-    // Trace contexts are thread-local and not inherited by spawned
-    // workers; capture the caller's and re-enter it on each worker so
-    // per-request correlation survives the fan-out. Pure bookkeeping —
-    // no RNG is consumed, so estimates stay bit-identical.
-    let caller_trace = privim_obs::current_trace();
+    // Scopes are thread-local and not inherited by spawned workers;
+    // capture the caller's and adopt them on each worker, so per-request
+    // trace correlation survives the fan-out and worker scopes profile
+    // under the caller's. Pure bookkeeping — no RNG is consumed, so
+    // estimates stay bit-identical.
+    let parent = privim_obs::ScopeParent::current();
     let n_blocks = trials.div_ceil(TRIAL_BLOCK);
     let n_threads = n_threads.min(n_blocks);
     let next_block = std::sync::atomic::AtomicUsize::new(0);
     let totals: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_threads)
             .map(|_| {
-                let next_block = &next_block;
+                let (next_block, parent) = (&next_block, &parent);
                 scope.spawn(move || {
                     let worker = move || {
                         let mut local = 0usize;
@@ -287,10 +288,7 @@ pub fn influence_spread_parallel(
                                 .sum::<usize>();
                         }
                     };
-                    match caller_trace {
-                        Some(ctx) => privim_obs::with_trace(ctx, worker),
-                        None => worker(),
-                    }
+                    parent.adopt(worker)
                 })
             })
             .collect();
@@ -459,9 +457,10 @@ mod tests {
         let ctx = privim_obs::TraceContext::from_seed(55);
         privim_obs::FlightRecorder::reset();
         privim_obs::FlightRecorder::arm();
-        let traced = privim_obs::with_trace(ctx, || {
+        let traced = {
+            let _t = ctx.enter();
             influence_spread_parallel(&g, &[0], &cfg, 2_000, 4, 17).unwrap()
-        });
+        };
         privim_obs::FlightRecorder::disarm();
         assert_eq!(
             traced.to_bits(),

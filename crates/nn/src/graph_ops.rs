@@ -4,12 +4,19 @@
 //! backward closures can replay the sparsity pattern without copying it.
 //! Aggregation follows the paper's convention (Eq. 2): node `u` aggregates
 //! over its *in*-neighbors, i.e. over edges whose `dst` is `u`.
+//!
+//! From [`par::WORK_FLOOR`] on, `spmm_fixed` and `attention_aggregate`
+//! walk each node's in-edges through the tape's [`InEdges`] view: every
+//! output row has one writer and sums in edge order, and the rows split
+//! across [`par::threads`] workers with the same bits at any count.
 
 use std::sync::Arc;
 
 use privim_obs::Scope;
 
+use crate::graph_tensors::InEdges;
 use crate::matrix::Matrix;
+use crate::par;
 use crate::profiling::add_count;
 use crate::tape::{Tape, Var};
 
@@ -31,17 +38,30 @@ impl Tape {
         assert_eq!(src.len(), coeff.len(), "coeff length mismatch");
         let prof = Scope::kernel("nn.spmm");
         add_count("nn.edges.spmm", src.len() as u64);
+        let d = self.value(h).cols();
+        let rows = (src.len() * d >= par::WORK_FLOOR).then(|| self.in_edges(&src, &dst, n_out));
         let hv = self.value(h);
-        let d = hv.cols();
         // Per edge: mul+add over d lanes; touch (src,dst) ids + coeff,
         // read the source row, read+write the destination row.
         let (e64, d64) = (src.len() as u64, d as u64);
         prof.add_work(2 * e64 * d64, e64 * (16 + 24 * d64), e64);
         let mut out = Matrix::zeros(n_out, d);
-        for e in 0..src.len() {
-            let (s, t, c) = (src[e] as usize, dst[e] as usize, coeff[e]);
-            for (o, &x) in out.row_mut(t).iter_mut().zip(hv.row(s)) {
-                *o += c * x;
+        match rows {
+            Some(rows) => for_each_in_row(
+                &rows,
+                out.data_mut(),
+                |u| u * d,
+                |t, out_t| {
+                    add_in_rows(out_t, hv, &rows, t, |k| coeff[rows.edge[k] as usize]);
+                },
+            ),
+            None => {
+                for e in 0..src.len() {
+                    let (s, t, c) = (src[e] as usize, dst[e] as usize, coeff[e]);
+                    for (o, &x) in out.row_mut(t).iter_mut().zip(hv.row(s)) {
+                        *o += c * x;
+                    }
+                }
             }
         }
         let (bs, bd, bc) = (Arc::clone(&src), Arc::clone(&dst), Arc::clone(&coeff));
@@ -283,8 +303,8 @@ impl Tape {
         prof.add_work(5 * e64, 52 * e64, e64);
         let sv = self.value(scores);
         assert_eq!(sv.shape(), (segment.len(), 1), "scores must be E x 1");
-        let mut out = Matrix::zeros(segment.len(), 1);
-        softmax_segments(sv.data(), &segment, n_segments, out.data_mut());
+        let mut out = sv.clone();
+        softmax_segments(out.data_mut(), &segment, n_segments, 1);
         let bseg = Arc::clone(&segment);
         self.push(
             out,
@@ -321,6 +341,12 @@ impl Tape {
     /// → `segment_softmax` → `row_mul` → `scatter_add_rows` → `add`:
     /// every sum runs in the same order with the same zero skips, and the
     /// gradient of `wh` is assembled as the tape would assemble it.
+    ///
+    /// From the work floor on, and when every segment's edges keep their
+    /// edge order in the [`InEdges`] view (true for edge lists sorted by
+    /// `(src, dst)`), the whole forward runs per destination row. Only a
+    /// recording tape gets the pre-activation scores and α back in edge
+    /// order, for the backward pass.
     #[allow(clippy::too_many_arguments)]
     pub fn attention_aggregate(
         &mut self,
@@ -337,8 +363,10 @@ impl Tape {
         add_count("nn.edges.attention", n_edges as u64);
         assert_eq!(n_edges, dst.len(), "src/dst length mismatch");
         assert_eq!(n_edges, segment.len(), "segment length mismatch");
+        let d = self.value(wh).cols();
+        let rows = (n_edges * d >= par::WORK_FLOOR).then(|| self.in_edges(&src, &dst, n_out));
+        let recording = self.recording();
         let whv = self.value(wh);
-        let d = whv.cols();
         assert_eq!(whv.rows(), n_out, "wh must have n_out rows");
         let attv = self.value(att);
         assert_eq!(attv.shape(), (2 * d, 1), "att must be 2d x 1");
@@ -355,32 +383,11 @@ impl Tape {
             e64 * (96 + 32 * d64) + n64 * (8 + 32 * d64) + 16 * d64,
             e64,
         );
-        let (att_src, att_dst) = attv.data().split_at(d);
-        // Scores in `Matrix::matmul`'s order over `[wh[src] ‖ wh[dst]]`.
-        // The source half of the sum depends on the source node only, so
-        // it is taken once per node and each edge continues from it.
-        let src_half: Vec<f64> = (0..n_out)
-            .map(|v| dot_from(0.0, whv.row(v), att_src))
-            .collect();
-        let mut pre = Vec::with_capacity(n_edges);
-        let mut scores = Vec::with_capacity(n_edges);
-        for (&s, &t) in src.iter().zip(dst.iter()) {
-            let acc = dot_from(src_half[s as usize], whv.row(t as usize), att_dst);
-            pre.push(acc);
-            scores.push(if acc > 0.0 { acc } else { slope * acc });
-        }
-        let mut alpha = vec![0.0; n_edges];
-        softmax_segments(&scores, &segment, n_out, &mut alpha);
-        let mut out = Matrix::zeros(n_out, d);
-        for ((&s, &t), &a) in src.iter().zip(dst.iter()).zip(&alpha) {
-            for (o, &x) in out.row_mut(t as usize).iter_mut().zip(whv.row(s as usize)) {
-                *o += x * a;
-            }
-        }
-        // Residual self connection.
-        for (o, &x) in out.data_mut().iter_mut().zip(whv.data()) {
-            *o += x;
-        }
+        let rows = rows.and_then(|rows| Some((segments_by_row(&rows, &segment, n_out)?, rows)));
+        let (pre, alpha, out) = match rows {
+            Some((seg, rows)) => attention_rows(&rows, &seg, whv, attv.data(), slope, recording),
+            None => attention_edges(&src, &dst, whv, attv.data(), &segment, slope),
+        };
         self.push(
             out,
             vec![wh.0, att.0],
@@ -456,6 +463,195 @@ impl Tape {
     }
 }
 
+/// [`Tape::attention_aggregate`]'s forward in edge order: the
+/// pre-activation scores, α and the output.
+fn attention_edges(
+    src: &[u32],
+    dst: &[u32],
+    wh: &Matrix,
+    att: &[f64],
+    segment: &[u32],
+    slope: f64,
+) -> (Vec<f64>, Vec<f64>, Matrix) {
+    let (n, d) = wh.shape();
+    let (att_src, att_dst) = att.split_at(d);
+    // Scores in `Matrix::matmul`'s order over `[wh[src] ‖ wh[dst]]`.
+    // The source half of the sum depends on the source node only, so
+    // it is taken once per node and each edge continues from it.
+    let src_half: Vec<f64> = (0..n).map(|v| dot_from(0.0, wh.row(v), att_src)).collect();
+    let mut pre = Vec::with_capacity(src.len());
+    let mut alpha = Vec::with_capacity(src.len());
+    for (&s, &t) in src.iter().zip(dst) {
+        let acc = dot_from(src_half[s as usize], wh.row(t as usize), att_dst);
+        pre.push(acc);
+        alpha.push(if acc > 0.0 { acc } else { slope * acc });
+    }
+    softmax_segments(&mut alpha, segment, n, 1);
+    let mut out = Matrix::zeros(n, d);
+    for ((&s, &t), &a) in src.iter().zip(dst).zip(&alpha) {
+        for (o, &x) in out.row_mut(t as usize).iter_mut().zip(wh.row(s as usize)) {
+            *o += x * a;
+        }
+    }
+    // Residual self connection.
+    for (o, &x) in out.data_mut().iter_mut().zip(wh.data()) {
+        *o += x;
+    }
+    (pre, alpha, out)
+}
+
+/// Lanes of `wh[t] · att_dst` taken at once for all of `t`'s in-edges.
+const LANE_BLOCK: usize = 32;
+
+/// Each in-edge's segment, in `rows` order, when every segment meets its
+/// edges there in edge order, so that sums over a segment keep their
+/// bits; `None` otherwise. Edge lists sorted by `(src, dst)`, as
+/// [`crate::graph_tensors::GraphTensors`] builds them, qualify for
+/// segments by source and by destination alike.
+fn segments_by_row(rows: &InEdges, segment: &[u32], n_segments: usize) -> Option<Vec<u32>> {
+    // The smallest edge id each segment may meet next.
+    let mut next = vec![0u32; n_segments];
+    rows.edge
+        .iter()
+        .map(|&e| {
+            let g = segment[e as usize];
+            (e >= next[g as usize]).then(|| {
+                next[g as usize] = e + 1;
+                g
+            })
+        })
+        .collect()
+}
+
+/// [`attention_edges`] per destination row over `rows`, with the same
+/// bits, for segments [`segments_by_row`] orders as `seg`. The scores,
+/// the softmax and α run in `rows` order; only when `recording` do the
+/// pre-activation scores and α go back to edge order (else both empty).
+fn attention_rows(
+    rows: &InEdges,
+    seg: &[u32],
+    wh: &Matrix,
+    att: &[f64],
+    slope: f64,
+    recording: bool,
+) -> (Vec<f64>, Vec<f64>, Matrix) {
+    let (n, d) = wh.shape();
+    let n_edges = rows.edge.len();
+    let (att_src, att_dst) = att.split_at(d);
+    let mut src_half = vec![0.0; n];
+    for_each_in_row(
+        rows,
+        &mut src_half,
+        |v| v,
+        |v, h| {
+            h[0] = dot_from(0.0, wh.row(v), att_src);
+        },
+    );
+    // Every in-edge of `t` continues its source half with the same
+    // products `wh[t, k] · att_dst[k]`, so they are taken once per block
+    // of lanes. An exact zero lane adds −0.0, which leaves any sum as
+    // it is, just as `dot_from`'s skip does.
+    let mut alpha = vec![0.0; n_edges];
+    let at = |t: usize| rows.offsets[t] as usize;
+    for_each_in_row(rows, &mut alpha, at, |t, pre_t| {
+        for (p, k) in pre_t.iter_mut().zip(rows.range(t)) {
+            *p = src_half[rows.src[k] as usize];
+        }
+        let blocks = wh.row(t).chunks(LANE_BLOCK).zip(att_dst.chunks(LANE_BLOCK));
+        for (x, w) in blocks {
+            let mut lanes = [0.0; LANE_BLOCK];
+            for (l, (&x, &w)) in lanes.iter_mut().zip(x.iter().zip(w)) {
+                *l = if x != 0.0 { x * w } else { -0.0 };
+            }
+            let lanes = &lanes[..x.len()];
+            for p in pre_t.iter_mut() {
+                *p = lanes.iter().fold(*p, |acc, &l| acc + l);
+            }
+        }
+    });
+    let to_edge_order = |by_row: &[f64]| {
+        let mut by_edge = vec![0.0; n_edges];
+        for (&e, &x) in rows.edge.iter().zip(by_row) {
+            by_edge[e as usize] = x;
+        }
+        by_edge
+    };
+    // `alpha` holds the pre-activation scores; α replaces them in place.
+    let pre = if recording {
+        to_edge_order(&alpha)
+    } else {
+        Vec::new()
+    };
+    for x in alpha.iter_mut() {
+        *x = if *x > 0.0 { *x } else { slope * *x };
+    }
+    softmax_segments(&mut alpha, seg, n, par::threads());
+    let mut out = Matrix::zeros(n, d);
+    for_each_in_row(
+        rows,
+        out.data_mut(),
+        |u| u * d,
+        |t, out_t| {
+            add_in_rows(out_t, wh, rows, t, |k| alpha[k]);
+            // Residual self connection.
+            for (o, &x) in out_t.iter_mut().zip(wh.row(t)) {
+                *o += x;
+            }
+        },
+    );
+    let alpha = if recording {
+        to_edge_order(&alpha)
+    } else {
+        Vec::new()
+    };
+    (pre, alpha, out)
+}
+
+/// `out_t += Σ_k w(k) · h[src_k]` over `t`'s in-edges `k` in `rows`, one
+/// in-edge after the other as an edge-order loop adds them, two per pass
+/// over the lanes: `(o + p) + q` rounds as two passes do.
+fn add_in_rows(out_t: &mut [f64], h: &Matrix, rows: &InEdges, t: usize, w: impl Fn(usize) -> f64) {
+    let term = |k: usize| (w(k), h.row(rows.src[k] as usize));
+    let mut ks = rows.range(t);
+    while ks.len() >= 2 {
+        let ((a, x), (b, y)) = (term(ks.start), term(ks.start + 1));
+        for ((o, &x), &y) in out_t.iter_mut().zip(x).zip(y) {
+            *o = (*o + a * x) + b * y;
+        }
+        ks.start += 2;
+    }
+    if let Some(k) = ks.next() {
+        let (a, x) = term(k);
+        for (o, &x) in out_t.iter_mut().zip(x) {
+            *o += a * x;
+        }
+    }
+}
+
+/// Runs `row(u, out_u)` for every node `u` of `rows`, where `out_u` is
+/// `out[at(u)..at(u + 1)]` (`at` increasing, `at(0) = 0`), with the nodes
+/// split across [`par::threads`] workers by work.
+fn for_each_in_row(
+    rows: &InEdges,
+    out: &mut [f64],
+    at: impl Fn(usize) -> usize + Sync,
+    row: impl Fn(usize, &mut [f64]) + Sync,
+) {
+    let bounds = rows.bounds(par::threads());
+    let cuts: Vec<usize> = bounds.iter().map(|&u| at(u)).collect();
+    let ranges = bounds.windows(2).map(|w| w[0]..w[1]);
+    par::fan_out(
+        ranges.zip(par::split_at_bounds(out, &cuts)).collect(),
+        |(nodes, mut rest)| {
+            for u in nodes {
+                let (out_u, tail) = std::mem::take(&mut rest).split_at_mut(at(u + 1) - at(u));
+                row(u, out_u);
+                rest = tail;
+            }
+        },
+    );
+}
+
 /// `acc + Σ_k x[k] · w[k]`, accumulated in lane order and skipping exact
 /// zeros in `x` as `Matrix::matmul` does.
 fn dot_from(mut acc: f64, x: &[f64], w: &[f64]) -> f64 {
@@ -467,22 +663,36 @@ fn dot_from(mut acc: f64, x: &[f64], w: &[f64]) -> f64 {
     acc
 }
 
-/// Softmax of `scores` within segments, written to `out`: entries sharing
+/// Softmax of `scores` within segments, in place: entries sharing
 /// `segment[e]` are normalized together, after subtracting the segment's
-/// maximum so large scores cannot overflow.
-fn softmax_segments(scores: &[f64], segment: &[u32], n_segments: usize, out: &mut [f64]) {
+/// maximum so large scores cannot overflow. The exponentials split across
+/// `parts` workers; the segment sums run in slice order.
+fn softmax_segments(scores: &mut [f64], segment: &[u32], n_segments: usize, parts: usize) {
     let mut seg_max = vec![f64::NEG_INFINITY; n_segments];
     for (&x, &g) in scores.iter().zip(segment) {
         seg_max[g as usize] = seg_max[g as usize].max(x);
     }
+    let exp_from = |lo: usize, chunk: &mut [f64]| {
+        for (x, &g) in chunk.iter_mut().zip(&segment[lo..]) {
+            *x = (*x - seg_max[g as usize]).exp();
+        }
+    };
+    if parts > 1 {
+        let cuts = par::row_bounds(scores.len(), parts, |e| e);
+        let chunks = cuts
+            .iter()
+            .copied()
+            .zip(par::split_at_bounds(scores, &cuts));
+        par::fan_out(chunks.collect(), |(lo, chunk)| exp_from(lo, chunk));
+    } else {
+        exp_from(0, scores);
+    }
     let mut seg_sum = vec![0.0f64; n_segments];
-    for ((o, &x), &g) in out.iter_mut().zip(scores).zip(segment) {
-        let y = (x - seg_max[g as usize]).exp();
-        *o = y;
+    for (&y, &g) in scores.iter().zip(segment) {
         seg_sum[g as usize] += y;
     }
-    for (o, &g) in out.iter_mut().zip(segment) {
-        *o /= seg_sum[g as usize];
+    for (y, &g) in scores.iter_mut().zip(segment) {
+        *y /= seg_sum[g as usize];
     }
 }
 
@@ -827,6 +1037,85 @@ mod tests {
         let src = (0..e).map(|_| rng.gen_range(4..n as u32)).collect();
         let dst = (0..e).map(|_| rng.gen_range(0..n as u32)).collect();
         assert_fused_matches_chain(&wh, &att, src, dst);
+    }
+
+    /// A seeded multigraph of `e` edges on `n` nodes, with parallel edges
+    /// and self-loops; node 0 sends nothing. Sorted by `(src, dst)` as
+    /// `GraphTensors` builds edge lists, when `sorted`.
+    fn random_multigraph(seed: u64, n: u32, e: usize, sorted: bool) -> (Vec<u32>, Vec<u32>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges: Vec<(u32, u32)> = (0..e)
+            .map(|_| (rng.gen_range(1..n), rng.gen_range(0..n / 2)))
+            .collect();
+        if sorted {
+            edges.sort_unstable();
+        }
+        edges.into_iter().unzip()
+    }
+
+    #[test]
+    fn attention_aggregate_above_the_work_floor_is_bit_identical_to_the_op_chain() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        let (n, d, e) = (300, 16, 6_000);
+        assert!(e * d >= par::WORK_FLOOR);
+        let wh = Matrix::from_fn(n, d, |_, _| {
+            if rng.gen_range(0..5u32) == 0 {
+                0.0
+            } else {
+                rng.gen_range(-2.0..2.0)
+            }
+        });
+        let att = Matrix::from_fn(2 * d, 1, |_, _| rng.gen_range(-1.0..1.0));
+        // Sorted, both segmentations run per destination row; unsorted,
+        // GRAT's falls back to edge order.
+        for sorted in [true, false] {
+            let (src, dst) = random_multigraph(5, n as u32, e, sorted);
+            let rows = InEdges::new(&src, &dst, n);
+            let by_src = segments_by_row(&rows, &src, n);
+            assert_eq!(by_src.is_some(), sorted);
+            assert!(segments_by_row(&rows, &dst, n).is_some());
+            for threads in 1..=3 {
+                par::with_threads(threads, || {
+                    assert_fused_matches_chain(&wh, &att, src.clone(), dst.clone())
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn spmm_fixed_above_the_work_floor_matches_the_edge_loop() {
+        let (n, d, e) = (200, 8, 9_000);
+        assert!(e * d >= par::WORK_FLOOR);
+        let (src, dst) = random_multigraph(11, n as u32, e, false);
+        let h = Matrix::from_fn(n, d, |r, c| ((7 * r + 3 * c) as f64 * 0.61).sin());
+        let coeff: Vec<f64> = (0..e).map(|i| (i as f64 * 0.37).cos()).collect();
+        let mut expected = Matrix::zeros(n, d);
+        for i in 0..e {
+            let (s, t) = (src[i] as usize, dst[i] as usize);
+            for (o, &x) in expected.row_mut(t).iter_mut().zip(h.row(s)) {
+                *o += coeff[i] * x;
+            }
+        }
+        let (src, dst, coeff) = (rc(src), rc(dst), Arc::new(coeff));
+        for threads in 1..=3 {
+            let mut t = Tape::no_grad();
+            let vh = t.leaf(h.clone());
+            let out = par::with_threads(threads, || {
+                t.spmm_fixed(
+                    vh,
+                    Arc::clone(&src),
+                    Arc::clone(&dst),
+                    Arc::clone(&coeff),
+                    n,
+                )
+            });
+            let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(t.value(out)), bits(&expected), "{threads} threads");
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! passes need: edge index arrays, GCN normalization coefficients, mean
 //! aggregation coefficients, and node features. Arrays are `Arc`-shared so
 //! autograd backward closures can reference them without copies.
+//! [`InEdges`] is the dst-major view of an edge list that the graph-scale
+//! kernels split across threads.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use privim_graph::Graph;
@@ -100,6 +103,72 @@ impl GraphTensors {
     /// Feature dimensionality `d`.
     pub fn feature_dim(&self) -> usize {
         self.features.cols()
+    }
+}
+
+/// The dst-major view of an edge list `(src[e], dst[e])`: every node's
+/// in-edges, contiguous, in their edge-list order (a stable counting sort
+/// by destination). A kernel that walks a node's in-edges here adds them
+/// to its output row in the order an edge-order loop would, so each row
+/// can have its own writer and the sums keep their bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InEdges {
+    /// Node `u`'s in-edges are positions `offsets[u]..offsets[u + 1]`.
+    pub offsets: Vec<u32>,
+    /// Source of the in-edge at each position.
+    pub src: Vec<u32>,
+    /// Edge-list index of the in-edge at each position.
+    pub edge: Vec<u32>,
+}
+
+impl InEdges {
+    /// The view of `(src, dst)` over `n` nodes.
+    ///
+    /// # Panics
+    /// If the lengths differ, a destination is not below `n`, or the
+    /// edge count does not fit a `u32`.
+    pub fn new(src: &[u32], dst: &[u32], n: usize) -> InEdges {
+        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
+        assert!(
+            u32::try_from(src.len()).is_ok(),
+            "too many edges for u32 ids"
+        );
+        let mut offsets = vec![0u32; n + 1];
+        for &t in dst {
+            offsets[t as usize + 1] += 1;
+        }
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let (mut in_src, mut edge) = (vec![0; src.len()], vec![0; src.len()]);
+        for (e, (&s, &t)) in src.iter().zip(dst).enumerate() {
+            let at = cursor[t as usize] as usize;
+            in_src[at] = s;
+            edge[at] = e as u32;
+            cursor[t as usize] += 1;
+        }
+        InEdges {
+            offsets,
+            src: in_src,
+            edge,
+        }
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Positions of node `u`'s in-edges.
+    pub fn range(&self, u: usize) -> Range<usize> {
+        self.offsets[u] as usize..self.offsets[u + 1] as usize
+    }
+
+    /// Row bounds splitting the nodes into at most `parts` ranges of
+    /// about equal work, a node costing one plus its in-degree.
+    pub(crate) fn bounds(&self, parts: usize) -> Vec<usize> {
+        crate::par::row_bounds(self.num_nodes(), parts, |u| self.offsets[u] as usize + u)
     }
 }
 
@@ -220,6 +289,17 @@ mod tests {
         for v in 0..3 {
             assert_eq!(f1[(v, 2)], 1.0);
         }
+    }
+
+    #[test]
+    fn in_edges_group_by_destination_in_edge_order() {
+        // Edge 2 and edge 0 both enter node 1; edge 0 comes first.
+        let v = InEdges::new(&[0, 2, 2, 1], &[1, 0, 1, 2], 3);
+        assert_eq!(v.offsets, vec![0, 1, 3, 4]);
+        assert_eq!(v.edge, vec![1, 0, 2, 3]);
+        assert_eq!(v.src, vec![2, 0, 2, 1]);
+        assert_eq!(v.range(1), 1..3);
+        assert_eq!(v.num_nodes(), 3);
     }
 
     #[test]

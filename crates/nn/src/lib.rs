@@ -10,6 +10,8 @@
 //! - [`models`] — GCN, GraphSAGE, GAT, GRAT, GIN and an MLP baseline.
 //! - [`params`] / [`optim`] — parameter sets, per-sample gradient vectors
 //!   with l2 clipping, SGD and Adam.
+//! - [`par`] — the worker count and fan-out shared by the parallel
+//!   DP-SGD step and the graph-scale kernels.
 //!
 //! # Example: gradient of a tiny GNN loss
 //!
@@ -42,6 +44,7 @@ pub mod graph_tensors;
 pub mod matrix;
 pub mod models;
 pub mod optim;
+pub mod par;
 pub mod params;
 pub(crate) mod profiling;
 pub mod serialize;

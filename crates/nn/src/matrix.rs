@@ -8,6 +8,8 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+use crate::par;
+
 /// A dense row-major matrix of `f64`.
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -111,27 +113,44 @@ impl Matrix {
         self.data[0]
     }
 
-    /// Matrix product `self × rhs`.
+    /// Matrix product `self × rhs`. From [`par::WORK_FLOOR`] on, the
+    /// output rows split across [`par::threads`] workers; each row is
+    /// computed as the serial loop computes it.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul dims {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order: the inner loop streams rows of `rhs` and `out`.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
+        let n = rhs.cols;
+        let mut out = Matrix::zeros(self.rows, n);
+        // Rows `first..` of the product into `out`, in i-k-j loop order:
+        // the inner loop streams rows of `rhs` and `out`.
+        let rows_from = |first: usize, out: &mut [f64]| {
+            for (i, out_row) in (first..).zip(out.chunks_exact_mut(n)) {
+                for (k, &a) in self.row(i).iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let b_row = &rhs.data[k * n..(k + 1) * n];
+                    for (o, &b) in out_row.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
                 }
             }
+        };
+        let above_floor = self.rows * self.cols * n >= par::WORK_FLOOR;
+        let parts = if above_floor { par::threads() } else { 1 };
+        if parts > 1 {
+            let bounds = par::row_bounds(self.rows, parts, |r| r);
+            let cuts: Vec<usize> = bounds.iter().map(|&r| r * n).collect();
+            let chunks = bounds
+                .iter()
+                .copied()
+                .zip(par::split_at_bounds(&mut out.data, &cuts));
+            par::fan_out(chunks.collect(), |(first, chunk)| rows_from(first, chunk));
+        } else if n > 0 {
+            rows_from(0, &mut out.data);
         }
         out
     }

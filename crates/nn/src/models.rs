@@ -749,6 +749,43 @@ mod tests {
     }
 
     #[test]
+    fn graph_scale_inference_is_bit_identical_at_any_thread_count() {
+        // Big enough that the hidden layers' matmuls, aggregations and
+        // attention heads cross the work floor; the 8-wide input layer's
+        // aggregations stay under it.
+        let mut rng = StdRng::seed_from_u64(31);
+        let n = 600;
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..8 * n {
+            let (v, u) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if v != u {
+                b.add_edge(v, u, rng.gen_range(0.05..1.0));
+            }
+        }
+        let gt = GraphTensors::with_structural_features(&b.build(), 8);
+        assert!(gt.num_edges() * 32 >= crate::par::WORK_FLOOR);
+        assert!(gt.num_edges() * 8 < crate::par::WORK_FLOOR);
+        for kind in ModelKind::ALL {
+            let model = build_model(kind, 8, 32, 3, &mut rng);
+            let bits = |threads| {
+                crate::par::with_threads(threads, || model.seed_probabilities(&gt))
+                    .iter()
+                    .map(|p| p.to_bits())
+                    .collect::<Vec<u64>>()
+            };
+            let serial = bits(1);
+            for threads in [2, 3] {
+                assert_eq!(bits(threads), serial, "{kind} at {threads} threads");
+            }
+            let mut tape = Tape::new();
+            let pv = model.params().bind(&mut tape);
+            let out = model.forward(&mut tape, &gt, &pv);
+            let recorded: Vec<u64> = tape.value(out).data().iter().map(|p| p.to_bits()).collect();
+            assert_eq!(recorded, serial, "{kind} on a recording tape");
+        }
+    }
+
+    #[test]
     fn models_handle_edgeless_graphs() {
         let g = privim_graph::Graph::empty(5);
         let gt = GraphTensors::with_structural_features(&g, 4);

@@ -9,8 +9,11 @@
 //! Dense ops live here; sparse message-passing ops live in
 //! [`crate::graph_ops`].
 
+use std::sync::Arc;
+
 use privim_obs::Scope;
 
+use crate::graph_tensors::InEdges;
 use crate::matrix::Matrix;
 use crate::profiling::add_count;
 
@@ -42,7 +45,13 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// Set by [`Tape::no_grad`]: ops keep only their values.
     no_grad: bool,
+    /// Dst-major views built by graph-scale ops, with the `(src, dst)`
+    /// arrays each was built from: the layers of one forward share one.
+    in_edges: Vec<(EdgeArrays, Arc<InEdges>)>,
 }
+
+/// An edge list's `(src, dst)` arrays.
+type EdgeArrays = (Arc<Vec<u32>>, Arc<Vec<u32>>);
 
 /// Gradients computed by [`Tape::backward`], indexed by [`Var`].
 pub struct Gradients {
@@ -80,6 +89,32 @@ impl Tape {
             no_grad: true,
             ..Tape::default()
         }
+    }
+
+    /// True unless this is a [`Tape::no_grad`] tape.
+    pub(crate) fn recording(&self) -> bool {
+        !self.no_grad
+    }
+
+    /// The dst-major view of `(src, dst)` over `n_out` nodes, built on
+    /// first use and kept for the tape's life. The tape holds the arrays
+    /// too, so pointer equality identifies them.
+    pub(crate) fn in_edges(
+        &mut self,
+        src: &Arc<Vec<u32>>,
+        dst: &Arc<Vec<u32>>,
+        n_out: usize,
+    ) -> Arc<InEdges> {
+        let cached = self.in_edges.iter().find(|((s, d), v)| {
+            Arc::ptr_eq(s, src) && Arc::ptr_eq(d, dst) && v.num_nodes() == n_out
+        });
+        if let Some((_, view)) = cached {
+            return Arc::clone(view);
+        }
+        let view = Arc::new(InEdges::new(src, dst, n_out));
+        let arrays = (Arc::clone(src), Arc::clone(dst));
+        self.in_edges.push((arrays, Arc::clone(&view)));
+        view
     }
 
     /// Number of recorded nodes.

@@ -5,6 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use privim_nn::graph_tensors::InEdges;
 use privim_nn::matrix::Matrix;
 use privim_nn::params::GradVec;
 use privim_nn::tape::Tape;
@@ -192,5 +193,52 @@ fn segment_softmax_sums_to_one_per_segment() {
                 assert_eq!(total, 0.0);
             }
         }
+    });
+}
+
+#[test]
+fn in_edges_are_the_stable_destination_sort_of_the_edge_list() {
+    for_cases(|rng| {
+        // Few nodes and many edges: parallel edges and self-loops abound.
+        let n = rng.gen_range(1..12usize);
+        let e = rng.gen_range(0..80usize);
+        let src: Vec<u32> = (0..e).map(|_| rng.gen_range(0..n as u32)).collect();
+        let dst: Vec<u32> = (0..e).map(|_| rng.gen_range(0..n as u32)).collect();
+        let view = InEdges::new(&src, &dst, n);
+        let mut order: Vec<u32> = (0..e as u32).collect();
+        order.sort_by_key(|&i| dst[i as usize]); // stable
+        assert_eq!(view.edge, order);
+        let sources: Vec<u32> = order.iter().map(|&i| src[i as usize]).collect();
+        assert_eq!(view.src, sources);
+        for u in 0..n {
+            let into_u = dst.iter().filter(|&&t| t as usize == u).count();
+            assert_eq!(view.range(u).len(), into_u);
+            assert!(view
+                .range(u)
+                .all(|k| dst[view.edge[k] as usize] as usize == u));
+        }
+    });
+}
+
+#[test]
+fn matmul_is_bit_identical_at_any_thread_count() {
+    for_cases(|rng| {
+        // Above the work floor, with exact zeros for the zero skip.
+        let (m, k, n) = (
+            rng.gen_range(80..120),
+            rng.gen_range(30..40),
+            rng.gen_range(30..40),
+        );
+        assert!(m * k * n >= privim_nn::par::WORK_FLOOR);
+        let mut a = arb_matrix(rng, m, k);
+        a.data_mut().iter_mut().step_by(3).for_each(|x| *x = 0.0);
+        let b = arb_matrix(rng, k, n);
+        let bits = |threads| {
+            let c = privim_nn::par::with_threads(threads, || a.matmul(&b));
+            c.data().iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+        };
+        let serial = bits(1);
+        assert_eq!(bits(2), serial);
+        assert_eq!(bits(3), serial);
     });
 }

@@ -65,7 +65,7 @@ pub use prometheus::{
 };
 pub use recorder::{DumpEntry, FlightRecorder};
 pub use report_html::render_html_report;
-pub use scope::Scope;
+pub use scope::{Scope, ScopeParent};
 pub use sink::{
     console, console_err, emit, enabled, flush_sinks, install_sink, take_sinks, EventSink,
     JsonlSink, MemorySink, StderrSink,
@@ -77,7 +77,7 @@ pub use spanexport::{
 };
 pub use telemetry::{EpochRecord, LedgerRecord, PhaseTiming, RunTelemetry};
 pub use timeseries::{SeriesBoard, TimeSeries, TimeSeriesSnapshot};
-pub use trace::{current_trace, parse_trace_header, with_trace, TraceContext, TRACE_HEADER};
+pub use trace::{current_trace, parse_trace_header, TraceContext, TRACE_HEADER};
 pub use watch::{AlertRule, AlertState, RuleKind, Watchdog};
 
 /// The global counter named `name` (creating it on first use).

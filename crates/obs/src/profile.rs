@@ -108,13 +108,15 @@ impl ThreadTree {
             })
     }
 
-    fn close(&mut self, idx: usize, elapsed_micros: u64, work: WorkCounts) {
+    fn close(&mut self, idx: usize, elapsed_micros: u64, work: WorkCounts, credit_parent: bool) {
         let node = &mut self.nodes[idx];
         node.calls += 1;
         node.total_micros += elapsed_micros;
         node.work.add(work.flops, work.bytes, work.items);
         let parent = node.parent;
-        self.nodes[parent].child_micros += elapsed_micros;
+        if credit_parent {
+            self.nodes[parent].child_micros += elapsed_micros;
+        }
     }
 
     fn reset(&mut self) {
@@ -213,12 +215,16 @@ pub(crate) fn open_node(parent: usize, name: &'static str) -> usize {
     })
 }
 
-/// Attributes one call of `elapsed_micros` and `work` to `node`.
-pub(crate) fn close_node(node: usize, elapsed_micros: u64, work: WorkCounts) {
+/// Attributes one call of `elapsed_micros` and `work` to `node`, and
+/// the time to its parent's children when `credit_parent`.
+pub(crate) fn close_node(node: usize, elapsed_micros: u64, work: WorkCounts, credit_parent: bool) {
     LOCAL.with(|t| {
-        t.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .close(node, elapsed_micros, work)
+        t.lock().unwrap_or_else(PoisonError::into_inner).close(
+            node,
+            elapsed_micros,
+            work,
+            credit_parent,
+        )
     });
 }
 

@@ -4,7 +4,9 @@
 //! histogram, the `span` event and span export; a kernel scope times a
 //! hot kernel and is inert while profiling is off. While profiling is
 //! on, both open a node in the profile tree. Entered trace contexts are
-//! frames on the same stack that carry only a context.
+//! frames on the same stack that carry only a context. A worker thread
+//! takes over its spawner's open scopes through [`ScopeParent`], so its
+//! own scopes land under the spawner's profile path and trace.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -25,6 +27,10 @@ struct Frame {
     trace: Option<TraceContext>,
     /// The profile node this frame opened.
     node: Option<usize>,
+    /// A spawner's scope that a worker took over ([`ScopeParent::adopt`]):
+    /// its node is opened on the worker's first profiled scope, and it
+    /// never closes, so it counts no calls and no child time.
+    inherited: bool,
 }
 
 thread_local! {
@@ -52,9 +58,84 @@ pub fn current_trace() -> Option<TraceContext> {
 }
 
 /// A profile node for `name` under the innermost open one, if
-/// profiling is on.
+/// profiling is on. Inherited frames get their nodes here, on the first
+/// profiled scope, so a worker that opens none touches no profile tree.
 fn profile_node(name: &'static str) -> Option<usize> {
-    profiling_enabled().then(|| profile::open_node(innermost(|f| f.node).unwrap_or(0), name))
+    profiling_enabled().then(|| {
+        let parent = STACK.with(|s| {
+            let mut parent = 0;
+            for f in s.borrow_mut().iter_mut() {
+                if f.inherited && f.node.is_none() {
+                    f.node = Some(profile::open_node(parent, f.name));
+                }
+                parent = f.node.unwrap_or(parent);
+            }
+            parent
+        });
+        profile::open_node(parent, name)
+    })
+}
+
+/// The open scopes of a thread that hands work to workers: its innermost
+/// trace context and its profile path. A worker runs its share under
+/// [`ScopeParent::adopt`], so its events carry the spawner's trace and
+/// its scopes open under the spawner's profile node: the profile tree has
+/// the same rows at any worker count.
+#[derive(Debug, Clone, Default)]
+pub struct ScopeParent {
+    trace: Option<TraceContext>,
+    /// Names of the profile path, outermost first.
+    path: Vec<&'static str>,
+}
+
+impl ScopeParent {
+    /// The calling thread's open scopes.
+    pub fn current() -> ScopeParent {
+        STACK.with(|s| {
+            let s = s.borrow();
+            ScopeParent {
+                trace: s.iter().rev().find_map(|f| f.trace),
+                path: s
+                    .iter()
+                    .filter(|f| f.node.is_some() || f.inherited)
+                    .map(|f| f.name)
+                    .collect(),
+            }
+        })
+    }
+
+    /// Runs `f` on this thread with the captured scopes open.
+    pub fn adopt<T>(&self, f: impl FnOnce() -> T) -> T {
+        struct Truncate(usize);
+        impl Drop for Truncate {
+            fn drop(&mut self) {
+                STACK.with(|s| s.borrow_mut().truncate(self.0));
+            }
+        }
+        let frames = self.path.iter().map(|&name| Frame {
+            name,
+            span: false,
+            trace: None,
+            node: None,
+            inherited: true,
+        });
+        let trace = self.trace.map(|ctx| Frame {
+            name: "",
+            span: false,
+            trace: Some(ctx),
+            node: None,
+            inherited: false,
+        });
+        let _restore = (trace.is_some() || !self.path.is_empty()).then(|| {
+            STACK.with(|s| {
+                let mut s = s.borrow_mut();
+                let base = s.len();
+                s.extend(frames.chain(trace));
+                Truncate(base)
+            })
+        });
+        f()
+    }
 }
 
 /// A running scope; closes (and reports) when dropped or on
@@ -90,6 +171,7 @@ impl Scope<'static> {
             span: false,
             trace: Some(ctx),
             node: None,
+            inherited: false,
         };
         Scope::open(Some(frame), &CLOCK)
     }
@@ -104,6 +186,7 @@ impl<'c> Scope<'c> {
             span: true,
             trace: current_trace().map(|c| c.child()),
             node: profile_node(name),
+            inherited: false,
         };
         Scope::open(Some(frame), clock)
     }
@@ -117,6 +200,7 @@ impl<'c> Scope<'c> {
             span: false,
             trace: None,
             node: profile_node(name),
+            inherited: false,
         });
         Scope::open(frame, clock)
     }
@@ -175,7 +259,16 @@ impl<'c> Scope<'c> {
             return secs; // an enclosing scope closed first and took this frame
         };
         if let Some(node) = frame.node {
-            profile::close_node(node, elapsed_micros, self.work.get());
+            // An inherited parent runs on another thread, concurrently:
+            // this scope's time is not carved out of its own.
+            let credit_parent = STACK.with(|s| {
+                s.borrow()[..slot]
+                    .iter()
+                    .rev()
+                    .find(|f| f.node.is_some())
+                    .is_none_or(|f| !f.inherited)
+            });
+            profile::close_node(node, elapsed_micros, self.work.get(), credit_parent);
         }
         if frame.span {
             global_registry()
@@ -327,6 +420,52 @@ mod tests {
         }
         let depth = STACK.with(|s| s.borrow().len());
         assert_eq!(depth, 0);
+    }
+
+    #[test]
+    fn adopted_worker_scopes_profile_under_the_spawner() {
+        let _guard = profile::tests::test_lock();
+        profile::set_profiling(true);
+        profile::reset_profile();
+        let clock = ManualClock::new();
+        let ctx = TraceContext::from_seed(8);
+        {
+            let _t = ctx.enter();
+            let _outer = Scope::span_with_clock("adopt_test_outer", &clock);
+            let parent = ScopeParent::current();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    parent.adopt(|| {
+                        assert_eq!(current_trace().map(|c| c.trace_id), Some(ctx.trace_id));
+                        let kernel = Scope::kernel_with_clock("adopt_test_kernel", &clock);
+                        kernel.add_work(3, 2, 1);
+                        clock.advance_micros(30);
+                    });
+                    assert_eq!(STACK.with(|s| s.borrow().len()), 0, "adopt unwinds");
+                });
+            });
+            clock.advance_micros(10);
+        }
+        profile::set_profiling(false);
+        let report = profile::profile_report();
+        let outer = report.row("adopt_test_outer").expect("outer row");
+        // The worker's 30 µs ran beside the spawner's: not carved out of
+        // its self time.
+        assert_eq!(
+            (outer.calls, outer.total_micros, outer.self_micros),
+            (1, 40, 40)
+        );
+        let kernel = report
+            .row("adopt_test_outer;adopt_test_kernel")
+            .expect("the worker's kernel sits under the spawner's span");
+        assert_eq!(
+            (kernel.calls, kernel.flops, kernel.bytes, kernel.items),
+            (1, 3, 2, 1)
+        );
+        assert!(
+            report.row("adopt_test_kernel").is_none(),
+            "no top-level row"
+        );
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! stream, so arming tracing cannot perturb seeded results.
 //!
 //! Contexts live on the same thread-local stack as open scopes (see
-//! [`crate::Scope`]). While one is active (via [`TraceContext::enter`]
-//! or [`with_trace`]), every event built by the `event!` macros is
+//! [`crate::Scope`]). While one is active (via [`TraceContext::enter`]),
+//! every event built by the `event!` macros is
 //! stamped with the innermost context's ids (see
 //! [`crate::Event::trace`]), and span scopes push a child context so
 //! nested emissions carry the span's own `span_id` with its parent
 //! linked.
 //! Worker threads do not inherit the stack — propagate explicitly with
-//! [`with_trace`], as the parallel Monte-Carlo estimator does.
+//! [`crate::ScopeParent`], as the parallel Monte-Carlo estimator does.
 //!
 //! One context per process can additionally be promoted to the
 //! *run trace* ([`set_run_trace`]): exporters that render process-wide
@@ -193,13 +193,6 @@ pub fn parse_trace_header(value: &str) -> Option<TraceContext> {
 
 pub use crate::scope::current_trace;
 
-/// Runs `f` with `ctx` active. This is the hand-off primitive for worker
-/// threads, which never inherit the spawning thread's stack.
-pub fn with_trace<T>(ctx: TraceContext, f: impl FnOnce() -> T) -> T {
-    let _guard = ctx.enter();
-    f()
-}
-
 static RUN_TRACE: Mutex<Option<TraceContext>> = Mutex::new(None);
 
 /// Promotes `ctx` to the process-wide run trace, used by exporters that
@@ -281,26 +274,20 @@ mod tests {
     }
 
     #[test]
-    fn with_trace_scopes_the_context_to_the_closure() {
-        let ctx = TraceContext::from_seed(5);
-        let seen = with_trace(ctx, current_trace);
-        assert_eq!(seen, Some(ctx));
-        assert_eq!(current_trace(), None);
-    }
-
-    #[test]
     fn worker_threads_do_not_inherit_but_can_adopt() {
         let ctx = TraceContext::from_seed(11);
         let _g = ctx.enter();
-        let (bare, adopted) = std::thread::spawn(move || {
+        let parent = crate::ScopeParent::current();
+        let (bare, adopted, after) = std::thread::spawn(move || {
             let bare = current_trace();
-            let adopted = with_trace(ctx, current_trace);
-            (bare, adopted)
+            let adopted = parent.adopt(current_trace);
+            (bare, adopted, current_trace())
         })
         .join()
         .unwrap();
         assert_eq!(bare, None, "stacks are thread-local");
         assert_eq!(adopted, Some(ctx));
+        assert_eq!(after, None, "adoption ends with the closure");
     }
 
     #[test]
