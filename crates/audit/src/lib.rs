@@ -24,7 +24,7 @@ pub mod membership;
 pub mod roc;
 pub mod topology;
 
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use privim_core::checkpoint::{CheckpointStore, TrainCheckpoint};
@@ -32,6 +32,7 @@ use privim_datasets::NodeSplit;
 use privim_graph::Graph;
 use privim_nn::graph_tensors::GraphTensors;
 use privim_obs::fault::splitmix64;
+use privim_obs::json::{self, JsonValue, ToJson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -278,61 +279,36 @@ pub fn run_audit(g: &Graph, dirs: &[String], cfg: &AuditConfig) -> Result<Vec<Au
 // so that equal runs are byte-identical, matching kernelbench)
 // ---------------------------------------------------------------------------
 
-/// Formats an f64 the way the bench envelopes do: integral values get a
-/// trailing `.0` so the type survives a JSON round trip.
-pub fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{:.1}", v)
-    } else {
-        format!("{v}")
-    }
-}
-
 /// Renders the standard `{seed, rows, telemetry}` envelope consumed by
-/// `bench_diff`.
-pub fn render_envelope(
-    seed: u64,
-    rows: &[AuditRow],
-    counters: &std::collections::BTreeMap<String, u64>,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let mut fields = vec![
-            format!("\"attack\": \"{}\"", r.attack),
-            format!("\"mode\": \"{}\"", r.mode),
-            format!("\"label\": \"{}\"", r.label),
-            format!("\"digest\": \"{}\"", r.digest),
-        ];
+/// `bench_diff`, through `privim_obs::json`: strings are escaped and a
+/// non-finite metric is written as `null`.
+pub fn render_envelope(seed: u64, rows: &[AuditRow], counters: &BTreeMap<String, u64>) -> String {
+    let row = |r: &AuditRow| {
+        let mut fields = BTreeMap::from([
+            ("attack", r.attack.to_json_value()),
+            ("mode", r.mode.to_json_value()),
+            ("label", r.label.to_json_value()),
+            ("digest", r.digest.to_json_value()),
+        ]);
         if let Some(eps) = r.epsilon {
-            fields.push(format!("\"epsilon\": {}", json_f64(eps)));
+            fields.insert("epsilon", eps.to_json_value());
         }
         for (name, value) in &r.metrics {
-            fields.push(format!("\"{name}\": {}", json_f64(*value)));
+            fields.insert(name, value.to_json_value());
         }
-        out.push_str("    {\n");
-        for (j, f) in fields.iter().enumerate() {
-            let comma = if j + 1 < fields.len() { "," } else { "" };
-            let _ = writeln!(out, "      {f}{comma}");
-        }
-        out.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ],\n");
+        json::object(fields)
+    };
     // Telemetry: counters only; histograms are wall-clock-derived and
     // would break bit-identity.
-    out.push_str("  \"telemetry\": {\n    \"counters\": {\n");
-    let n = counters.len();
-    for (i, (k, v)) in counters.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        let _ = writeln!(out, "      \"{k}\": {v}{comma}");
-    }
-    out.push_str("    }\n  }\n}\n");
-    out
+    let envelope = json::object([
+        ("seed", seed.to_json_value()),
+        ("rows", JsonValue::Arr(rows.iter().map(row).collect())),
+        (
+            "telemetry",
+            json::object([("counters", counters.to_json_value())]),
+        ),
+    ]);
+    envelope.to_json_pretty() + "\n"
 }
 
 #[cfg(test)]
@@ -440,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn envelope_is_byte_stable_and_orders_fields() {
+    fn envelope_is_byte_stable_json_with_every_value() {
         let rows = vec![AuditRow {
             attack: "membership",
             mode: "white_box",
@@ -449,22 +425,61 @@ mod tests {
             epsilon: Some(8.0),
             metrics: vec![("attack_auc", 0.75), ("tpr_at_low_fpr", 0.25)],
         }];
-        let counters = std::collections::BTreeMap::from([("audit.checkpoints".to_string(), 1u64)]);
+        let counters = BTreeMap::from([("audit.checkpoints".to_string(), 1u64)]);
         let a = render_envelope(7, &rows, &counters);
-        let b = render_envelope(7, &rows, &counters);
-        assert_eq!(a, b);
-        assert!(a.contains("\"seed\": 7,"));
-        assert!(a.contains("\"epsilon\": 8.0"));
-        assert!(a.contains("\"attack_auc\": 0.75"));
-        assert!(a.contains("\"audit.checkpoints\": 1"));
-        // No trailing comma before the closing brace of a row.
-        assert!(!a.contains(",\n    }"));
+        assert_eq!(a, render_envelope(7, &rows, &counters));
+        let v = json::parse(&a).unwrap();
+        assert_eq!(v.get("seed").and_then(JsonValue::as_u64), Some(7));
+        let row = v.get("rows").and_then(|r| r.get_index(0)).unwrap();
+        for (key, want) in [
+            ("epsilon", 8.0),
+            ("attack_auc", 0.75),
+            ("tpr_at_low_fpr", 0.25),
+        ] {
+            assert_eq!(
+                row.get(key).and_then(JsonValue::as_f64),
+                Some(want),
+                "{key}"
+            );
+        }
+        assert_eq!(
+            row.get("mode").and_then(JsonValue::as_str),
+            Some("white_box")
+        );
+        let counters = v.get("telemetry").and_then(|t| t.get("counters")).unwrap();
+        assert_eq!(
+            counters
+                .get("audit.checkpoints")
+                .and_then(JsonValue::as_u64),
+            Some(1)
+        );
     }
 
     #[test]
     fn envelope_with_no_rows_is_valid() {
-        let counters = std::collections::BTreeMap::new();
-        let out = render_envelope(1, &[], &counters);
-        assert!(out.contains("\"rows\": [\n  ],"));
+        let out = render_envelope(1, &[], &BTreeMap::new());
+        let v = json::parse(&out).unwrap();
+        assert_eq!(
+            v.get("rows").and_then(JsonValue::as_array).map(<[_]>::len),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn envelope_escapes_labels_and_nulls_non_finite_metrics() {
+        let label = r#"ck"a\b"#;
+        let rows = vec![AuditRow {
+            attack: "topology",
+            mode: "white_box",
+            label: label.into(),
+            digest: "d".into(),
+            epsilon: None,
+            metrics: vec![("precision_at_e", f64::NAN)],
+        }];
+        let v = json::parse(&render_envelope(3, &rows, &BTreeMap::new())).unwrap();
+        let row = v.get("rows").and_then(|r| r.get_index(0)).unwrap();
+        assert_eq!(row.get("label").and_then(JsonValue::as_str), Some(label));
+        assert_eq!(row.get("precision_at_e"), Some(&JsonValue::Null));
+        assert_eq!(row.get("epsilon"), None);
     }
 }

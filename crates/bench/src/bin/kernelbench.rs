@@ -26,7 +26,7 @@
 //! end-to-end check of the instrumentation sites.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,6 +35,7 @@ use privim_graph::GraphBuilder;
 use privim_im::{influence_spread, DiffusionConfig};
 use privim_nn::prelude::{GradVec, Matrix, Tape};
 use privim_obs::fault::splitmix64;
+use privim_obs::json::{self, JsonValue, ToJson};
 use privim_obs::Scope;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -408,61 +409,41 @@ fn measure_kernel(
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON envelope (hand-rolled: field order and formatting must be stable
-// so that equal runs are byte-identical)
-// ---------------------------------------------------------------------------
-
-fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{:.1}", v)
-    } else {
-        format!("{v}")
-    }
-}
-
-fn render_envelope(
-    seed: u64,
-    rows: &[KernelRow],
-    counters: &std::collections::BTreeMap<String, u64>,
-) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"kernel\": \"{}\",", r.kernel);
-        let _ = writeln!(out, "      \"size\": \"{}\",", r.size);
-        let _ = writeln!(out, "      \"flops\": {},", r.flops);
-        let _ = writeln!(out, "      \"bytes\": {},", r.bytes);
-        let _ = writeln!(out, "      \"items\": {},", r.items);
-        let _ = writeln!(out, "      \"allocs\": {},", r.allocs);
+/// The `{seed, rows, telemetry}` envelope, through `privim_obs::json`:
+/// sorted keys and shortest round-trip floats, so equal runs are
+/// byte-identical.
+fn render_envelope(seed: u64, rows: &[KernelRow], counters: &BTreeMap<String, u64>) -> String {
+    let row = |r: &KernelRow| {
+        let mut fields = BTreeMap::from([
+            ("kernel", r.kernel.to_json_value()),
+            ("size", r.size.to_json_value()),
+            ("flops", r.flops.to_json_value()),
+            ("bytes", r.bytes.to_json_value()),
+            ("items", r.items.to_json_value()),
+            ("allocs", r.allocs.to_json_value()),
+            ("checksum", r.checksum.to_json_value()),
+        ]);
         if let Some(t) = &r.timing {
-            let _ = writeln!(out, "      \"min_secs\": {},", json_f64(t.min_secs));
-            let _ = writeln!(out, "      \"mean_secs\": {},", json_f64(t.mean_secs));
-            let _ = writeln!(out, "      \"cv\": {},", json_f64(t.cv));
+            fields.insert("min_secs", t.min_secs.to_json_value());
+            fields.insert("mean_secs", t.mean_secs.to_json_value());
+            fields.insert("cv", t.cv.to_json_value());
             if let Some(g) = r.gflops() {
-                let _ = writeln!(out, "      \"gflops\": {},", json_f64(g));
+                fields.insert("gflops", g.to_json_value());
             }
         }
-        let _ = writeln!(out, "      \"checksum\": {}", json_f64(r.checksum));
-        out.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ],\n");
+        json::object(fields)
+    };
     // Telemetry: counters only. Histograms (e.g. `im.sims_per_sec`) are
     // wall-clock-derived, so including them would break bit-identity.
-    out.push_str("  \"telemetry\": {\n    \"counters\": {\n");
-    let n = counters.len();
-    for (i, (k, v)) in counters.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        let _ = writeln!(out, "      \"{k}\": {v}{comma}");
-    }
-    out.push_str("    }\n  }\n}\n");
-    out
+    let envelope = json::object([
+        ("seed", seed.to_json_value()),
+        ("rows", JsonValue::Arr(rows.iter().map(row).collect())),
+        (
+            "telemetry",
+            json::object([("counters", counters.to_json_value())]),
+        ),
+    ]);
+    envelope.to_json_pretty() + "\n"
 }
 
 // ---------------------------------------------------------------------------

@@ -1,223 +1,112 @@
 //! Dependency-free argument parsing for the `privim` CLI.
+//!
+//! Each subcommand has one flag table and the global flags have one more.
+//! [`Flags::take`] checks a command line against a table: an unknown,
+//! repeated or value-less flag is an error, and so is a number outside the
+//! range its entry declares, so no outside value reaches a library assert.
+//! [`usage`] renders the help text from the same tables. Each command's
+//! library config starts from its own `Default` (or `new`), and a flag
+//! overwrites a field only when it is given.
 
+use std::fmt::Display;
+use std::str::FromStr;
+use std::time::Duration;
+
+use privim_audit::{Attack, AuditConfig, Mode};
+use privim_core::config::PrivImConfig;
 use privim_core::pipeline::Method;
+use privim_core::resume::ResumeOptions;
 use privim_datasets::paper::Dataset;
+use privim_dp::rdp::SubsampledConfig;
+use privim_im::models::DiffusionConfig;
 use privim_nn::models::ModelKind;
+use privim_serve::{AppConfig, ChaosConfig, RouterConfig, ServerConfig, SloConfig};
+
+use crate::monitor::Source;
 
 /// Parsed command line.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Command {
     /// Generate a dataset replica and write it as an edge list / binary.
-    Generate(GenerateArgs),
-    /// Train a (private) model and save a checkpoint + selected seeds.
-    Train(TrainArgs),
+    Generate {
+        dataset: Dataset,
+        scale: f64,
+        seed: u64,
+        output: String,
+    },
+    /// Train a (private) model, print its seeds, optionally save it.
+    Train {
+        graph: String,
+        method: Method,
+        /// Split, extraction and training seed (`--seed`).
+        seed: u64,
+        /// Released-model file (`--checkpoint`).
+        checkpoint: Option<String>,
+        /// Crash-safe store directory, and whether it must already hold a
+        /// valid generation (`--resume`) rather than start fresh
+        /// (`--checkpoint-dir`).
+        store: Option<(String, bool)>,
+        config: PrivImConfig,
+        resume: ResumeOptions,
+    },
     /// Select seeds with a saved checkpoint on a graph file.
-    Select(SelectArgs),
+    Select {
+        graph: String,
+        checkpoint: String,
+        k: usize,
+    },
     /// Evaluate a seed set's influence spread on a graph file.
-    Evaluate(EvaluateArgs),
+    Evaluate {
+        graph: String,
+        seeds: Vec<u32>,
+        diffusion: DiffusionConfig,
+        trials: usize,
+    },
     /// Print accounting numbers (σ, noise std, spent ε) for a setting.
-    Account(AccountArgs),
-    /// Serve influence-maximization queries over HTTP from a checkpoint.
-    Serve(ServeArgs),
+    Account {
+        epsilon: f64,
+        delta: f64,
+        iterations: usize,
+        sampling: SubsampledConfig,
+        /// Print this checkpoint's digest too, tying a released artifact
+        /// to the ε it was trained under.
+        checkpoint: Option<String>,
+    },
+    /// Serve influence-maximization queries over HTTP from a checkpoint,
+    /// or from the newest valid generation of a store it follows.
+    Serve {
+        app: AppConfig,
+        server: ServerConfig,
+        slo: SloConfig,
+        /// Store directory to follow (`--follow`) instead of one file.
+        follow: Option<String>,
+        /// Store poll interval in milliseconds (`--poll-ms`).
+        poll_ms: u64,
+    },
     /// Front a replicated serve tier: health checks, retries, breakers.
-    Route(RouteArgs),
+    Route {
+        router: RouterConfig,
+        server: ServerConfig,
+    },
     /// Run the deterministic TCP fault-injection proxy.
-    Chaos(ChaosArgs),
+    Chaos(ChaosConfig),
     /// Render telemetry and active alerts as a text dashboard.
-    Monitor(MonitorArgs),
+    Monitor(Source),
     /// Run empirical privacy attacks against trained checkpoints.
-    Audit(AuditArgs),
+    Audit {
+        graph: String,
+        /// Crash-safe stores to sweep; each contributes its newest valid
+        /// generation.
+        checkpoint_dirs: Vec<String>,
+        /// Write the `{seed, rows, telemetry}` envelope here (`--json`).
+        json: Option<String>,
+        config: AuditConfig,
+    },
     /// Assemble exported span files (or a live router's debug endpoint)
     /// into cross-process trace trees with per-hop latency tables.
     TraceView(TraceViewArgs),
     /// Print usage.
     Help,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerateArgs {
-    pub dataset: Dataset,
-    pub scale: f64,
-    pub seed: u64,
-    pub output: String,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainArgs {
-    pub graph: String,
-    pub method: Method,
-    pub model: ModelKind,
-    pub epsilon: Option<f64>,
-    pub seed_size: usize,
-    pub iterations: usize,
-    pub seed: u64,
-    pub checkpoint: Option<String>,
-    /// Crash-safe training: write atomic checkpoint generations to this
-    /// directory (`--checkpoint-dir`), resuming from the newest valid one
-    /// when present.
-    pub checkpoint_dir: Option<String>,
-    /// Resume a killed run from this directory (`--resume`); like
-    /// `--checkpoint-dir` but refuses to start if no valid generation
-    /// exists there.
-    pub resume: Option<String>,
-    /// Epochs between checkpoint generations (`--checkpoint-every`).
-    pub checkpoint_every: usize,
-    /// Checkpoint generations retained on disk (`--keep`).
-    pub keep: usize,
-    /// Hard ε ceiling (`--epsilon-budget`): halt before any step whose
-    /// accountant-exact ε would exceed it. Requires `--epsilon` and a
-    /// crash-safe run (`--checkpoint-dir`/`--resume`) so the halt can
-    /// persist a final checkpoint.
-    pub epsilon_budget: Option<f64>,
-    /// Fraction of the budget at which the one-shot warning alert fires
-    /// (`--budget-warn-fraction`, default 0.8).
-    pub budget_warn_fraction: f64,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectArgs {
-    pub graph: String,
-    pub checkpoint: String,
-    pub seed_size: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluateArgs {
-    pub graph: String,
-    pub seeds: Vec<u32>,
-    pub steps: Option<usize>,
-    pub trials: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    pub graph: String,
-    /// Single checkpoint file to serve (`--checkpoint`). Exactly one of
-    /// this and [`ServeArgs::follow`] must be given.
-    pub checkpoint: Option<String>,
-    /// Crash-safe checkpoint store directory to follow (`--follow`):
-    /// serve the newest valid generation and hot-swap — without dropping
-    /// in-flight requests — whenever a newer valid one appears.
-    pub follow: Option<String>,
-    /// Store poll interval in milliseconds for `--follow` (`--poll-ms`).
-    pub poll_ms: u64,
-    pub addr: String,
-    pub workers: usize,
-    pub queue_depth: usize,
-    pub deadline_ms: u64,
-    pub max_trials: usize,
-    pub spread_threads: usize,
-    /// Log a warning for requests slower than this (`--slow-ms`).
-    pub slow_ms: u64,
-    /// Expose `GET /debug/trace` and `GET /debug/profile`
-    /// (`--debug-endpoints`); off by default — see `AppConfig`.
-    pub debug_endpoints: bool,
-    /// p99 latency target in milliseconds for the `/slo` tracker
-    /// (`--slo-target-ms`).
-    pub slo_target_ms: u64,
-    /// Rolling window, in requests, for SLO latency quantiles and
-    /// error/shed rates (`--slo-window`).
-    pub slo_window: usize,
-    /// Fraction of windowed requests allowed to fail or shed before the
-    /// error budget counts as burned (`--slo-error-budget`).
-    pub slo_error_budget: f64,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteArgs {
-    /// Replica addresses (`--backends host:port[,host:port...]`).
-    pub backends: Vec<String>,
-    /// Front-end listen address (`--addr`).
-    pub addr: String,
-    /// Extra attempts after the first on connect errors, timeouts, and
-    /// 503s (`--retries`).
-    pub retries: u32,
-    /// Base for the deterministic exponential backoff between attempts
-    /// (`--backoff-ms`).
-    pub backoff_ms: u64,
-    /// Per-attempt upstream timeout (`--timeout-ms`).
-    pub timeout_ms: u64,
-    /// Hedge `/v1/spread` requests still unanswered after this delay
-    /// (`--hedge-ms`); absent disables hedging.
-    pub hedge_ms: Option<u64>,
-    /// Consecutive failures that trip a replica's breaker
-    /// (`--breaker-failures`).
-    pub breaker_failures: u32,
-    /// Base breaker cooldown before the half-open probe
-    /// (`--breaker-cooldown-ms`).
-    pub breaker_cooldown_ms: u64,
-    /// Health-check poll interval (`--health-interval-ms`).
-    pub health_interval_ms: u64,
-    /// Consecutive failed health probes before a replica is pulled
-    /// (`--probe-down-after`).
-    pub probe_down_after: u32,
-    /// Seed for breaker reopen jitter (`--seed`).
-    pub seed: u64,
-    /// Front-end worker threads (`--workers`).
-    pub workers: usize,
-    /// Front-end queue depth (`--queue-depth`).
-    pub queue_depth: usize,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosArgs {
-    /// Listen address (`--listen`; port 0 picks a free port).
-    pub listen: String,
-    /// Upstream address to proxy to (`--upstream`).
-    pub upstream: String,
-    /// Fault-plan seed (`--seed`).
-    pub seed: u64,
-    /// Fraction of connections faulted, in [0, 1] (`--fault-rate`).
-    pub fault_rate: f64,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorArgs {
-    /// Telemetry JSONL file to tail (`--input`).
-    pub input: Option<String>,
-    /// `host:port` of a running `privim serve` to poll `/metrics` from
-    /// (`--addr`).
-    pub addr: Option<String>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccountArgs {
-    pub epsilon: f64,
-    pub delta: f64,
-    pub iterations: usize,
-    pub batch: usize,
-    pub container: usize,
-    pub occurrences: usize,
-    /// Optional model checkpoint (`--checkpoint`): print its stable
-    /// digest alongside the accounting numbers, so released artifacts
-    /// can be tied to the ε they were trained under.
-    pub checkpoint: Option<String>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub struct AuditArgs {
-    /// Graph the checkpoints were trained on.
-    pub graph: String,
-    /// Crash-safe checkpoint directories to sweep (`--checkpoint-dirs`,
-    /// comma separated). Each contributes its newest valid generation;
-    /// the recorded ledger supplies the ε label and the recorded split
-    /// provenance the membership ground truth.
-    pub checkpoint_dirs: Vec<String>,
-    /// Which attack(s) to run (`--attack`).
-    pub attack: AuditAttack,
-    /// Threat model(s) (`--mode`).
-    pub mode: AuditMode,
-    /// `host:port` of a live `privim serve` instance for black-box
-    /// attacks (`--addr`).
-    pub addr: Option<String>,
-    /// Attack RNG seed (`--seed`).
-    pub seed: u64,
-    /// Write the `{seed, rows, telemetry}` envelope here (`--json`).
-    pub json: Option<String>,
-    /// FPR operating point for the TPR-at-low-FPR column (`--low-fpr`).
-    pub low_fpr: f64,
-    /// Candidate-pair budget for the topology attack (`--max-pairs`).
-    pub max_pairs: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -236,189 +125,283 @@ pub struct TraceViewArgs {
     pub addr: Option<String>,
 }
 
+/// What a flag takes. The numeric ranges are checked at parse time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AuditAttack {
-    Membership,
-    Topology,
-    Both,
+enum Kind {
+    /// No value.
+    Switch,
+    /// Any value; the command's builder parses it.
+    Text,
+    /// An integer ≥ 1.
+    Count,
+    /// A finite number > 0.
+    Positive,
+    /// A number in (0, 1).
+    Fraction,
+    /// A number in (0, 1].
+    Scale,
+    /// A number in [0, 1].
+    Rate,
+}
+use Kind::*;
+
+impl Kind {
+    /// Checks `value` against this kind's range.
+    fn check(self, name: &str, value: &str) -> Result<(), String> {
+        let bad = |e: &dyn Display| format!("bad --{name}: {e}");
+        let x = match self {
+            Switch | Text => return Ok(()),
+            Count => value.parse::<u64>().map_err(|e| bad(&e))? as f64,
+            _ => value.parse::<f64>().map_err(|e| bad(&e))?,
+        };
+        let (ok, range) = match self {
+            Count => (x > 0.0, "be positive"),
+            Positive => (x > 0.0 && x.is_finite(), "be positive and finite"),
+            Fraction => (x > 0.0 && x < 1.0, "be in (0, 1)"),
+            Scale => (x > 0.0 && x <= 1.0, "be in (0, 1]"),
+            _ => ((0.0..=1.0).contains(&x), "be in [0, 1]"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("--{name} must {range}"))
+        }
+    }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AuditMode {
-    WhiteBox,
-    BlackBox,
-    Both,
+/// One entry of a flag table.
+#[derive(Debug, Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The value's placeholder in the help text.
+    hint: &'static str,
+    required: bool,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-privim — differentially private GNNs for influence maximization
+const fn opt(name: &'static str, hint: &'static str, kind: Kind) -> Flag {
+    Flag {
+        name,
+        kind,
+        hint,
+        required: false,
+    }
+}
 
-USAGE:
-  privim generate --dataset <name> [--scale f] [--seed u] --output <path>
-  privim train    --graph <path> [--method privim*|privim|scs|egn|hp|hp-grat|non-private]
-                  [--model grat|gcn|gat|gin|sage|mlp] [--epsilon f] [--k n]
-                  [--iterations n] [--seed u] [--checkpoint <path>]
-                  [--checkpoint-dir <dir> | --resume <dir>]
-                  [--checkpoint-every n] [--keep n]
-                  [--epsilon-budget f] [--budget-warn-fraction f]
-  privim select   --graph <path> --checkpoint <path> [--k n]
-  privim evaluate --graph <path> --seeds 1,2,3 [--steps n] [--trials n]
-  privim account  --epsilon f [--delta f] [--iterations n] [--batch n]
-                  [--container n] [--occurrences n] [--checkpoint <path>]
-  privim audit    --graph <path> --checkpoint-dirs <dir>[,<dir>...]
-                  [--attack membership|topology|both]
-                  [--mode white-box|black-box|both] [--addr host:port]
-                  [--seed u] [--json <path>] [--low-fpr f] [--max-pairs n]
-  privim serve    --graph <path> (--checkpoint <path> | --follow <dir>)
-                  [--poll-ms n] [--addr host:port]
-                  [--workers n] [--queue-depth n] [--deadline-ms n]
-                  [--max-trials n] [--spread-threads n] [--slow-ms n]
-                  [--debug-endpoints] [--slo-target-ms n] [--slo-window n]
-                  [--slo-error-budget f]
-  privim route    --backends host:port[,host:port...] [--addr host:port]
-                  [--retries n] [--backoff-ms n] [--timeout-ms n]
-                  [--hedge-ms n] [--breaker-failures n]
-                  [--breaker-cooldown-ms n] [--health-interval-ms n]
-                  [--probe-down-after n] [--seed u] [--workers n]
-                  [--queue-depth n]
-  privim chaos    --listen host:port --upstream host:port
-                  [--seed u] [--fault-rate f]
-  privim monitor  --input <telemetry.jsonl> | --addr host:port
-  privim trace-view (--spans a.jsonl[,b.jsonl...] | --addr host:port)
-                  [--request-id <id>] [--trace <32-hex>]
-  privim help
+const fn req(name: &'static str, hint: &'static str, kind: Kind) -> Flag {
+    Flag {
+        required: true,
+        ..opt(name, hint, kind)
+    }
+}
 
-GLOBAL FLAGS (any subcommand):
-  --log-level error|warn|info|debug|trace|off
-                  structured events on stderr (overrides PRIVIM_LOG)
-  --telemetry-out <path>
-                  write every event as JSON lines to <path>
-  --profile       time hot kernels; print the call tree to stderr on exit
-  --profile-out <path>
-                  also write the profile as folded-stack flamegraph text
-  --metrics-out <path>
-                  write final metrics in Prometheus text format
-  --report-out <path>
-                  write a self-contained HTML run report
-  --recorder-out <path>
-                  arm the flight recorder; dump the last events to <path>
-                  on panic, injected kill, or SIGTERM
-  --span-export <path>
-                  append every finished trace span as JSON lines to
-                  <path>, for `privim trace-view` assembly
-  --chaos-kill <site>:<hit>
-                  inject a process kill at the Nth pass of a fault site
-                  (deterministic chaos testing; see privim_obs::fault)
+/// Every subcommand's flags, in help-text order.
+const COMMANDS: &[(&str, &[Flag])] = &[
+    (
+        "generate",
+        &[
+            req("dataset", "<name>", Text),
+            opt("scale", "f", Scale),
+            opt("seed", "u", Text),
+            req("output", "<path>", Text),
+        ],
+    ),
+    (
+        "train",
+        &[
+            req("graph", "<path>", Text),
+            opt(
+                "method",
+                "privim*|privim|scs|egn|hp|hp-grat|non-private",
+                Text,
+            ),
+            opt("model", "grat|gcn|gat|gin|sage|mlp", Text),
+            opt("epsilon", "f", Positive),
+            opt("k", "n", Text),
+            opt("iterations", "n", Text),
+            opt("seed", "u", Text),
+            opt("checkpoint", "<path>", Text),
+            opt("checkpoint-dir", "<dir>", Text),
+            opt("resume", "<dir>", Text),
+            opt("checkpoint-every", "n", Count),
+            opt("keep", "n", Count),
+            opt("epsilon-budget", "f", Positive),
+            opt("budget-warn-fraction", "f", Scale),
+        ],
+    ),
+    (
+        "select",
+        &[
+            req("graph", "<path>", Text),
+            req("checkpoint", "<path>", Text),
+            opt("k", "n", Text),
+        ],
+    ),
+    (
+        "evaluate",
+        &[
+            req("graph", "<path>", Text),
+            req("seeds", "1,2,3", Text),
+            opt("steps", "n", Text),
+            opt("trials", "n", Count),
+        ],
+    ),
+    (
+        "account",
+        &[
+            req("epsilon", "f", Positive),
+            opt("delta", "f", Fraction),
+            opt("iterations", "n", Text),
+            opt("batch", "n", Count),
+            opt("container", "n", Count),
+            opt("occurrences", "n", Count),
+            opt("checkpoint", "<path>", Text),
+        ],
+    ),
+    (
+        "audit",
+        &[
+            req("graph", "<path>", Text),
+            req("checkpoint-dirs", "<dir>[,<dir>...]", Text),
+            opt("attack", "membership|topology|both", Text),
+            opt("mode", "white-box|black-box|both", Text),
+            opt("addr", "host:port", Text),
+            opt("seed", "u", Text),
+            opt("json", "<path>", Text),
+            opt("low-fpr", "f", Fraction),
+            opt("max-pairs", "n", Count),
+        ],
+    ),
+    (
+        "serve",
+        &[
+            req("graph", "<path>", Text),
+            opt("checkpoint", "<path>", Text),
+            opt("follow", "<dir>", Text),
+            opt("poll-ms", "n", Count),
+            opt("addr", "host:port", Text),
+            opt("workers", "n", Text),
+            opt("queue-depth", "n", Text),
+            opt("deadline-ms", "n", Text),
+            opt("max-trials", "n", Text),
+            opt("spread-threads", "n", Text),
+            opt("slow-ms", "n", Text),
+            opt("debug-endpoints", "", Switch),
+            opt("slo-target-ms", "n", Text),
+            opt("slo-window", "n", Count),
+            opt("slo-error-budget", "f", Fraction),
+        ],
+    ),
+    (
+        "route",
+        &[
+            req("backends", "host:port[,host:port...]", Text),
+            opt("addr", "host:port", Text),
+            opt("retries", "n", Text),
+            opt("backoff-ms", "n", Text),
+            opt("timeout-ms", "n", Text),
+            opt("hedge-ms", "n", Text),
+            opt("breaker-failures", "n", Count),
+            opt("breaker-cooldown-ms", "n", Text),
+            opt("health-interval-ms", "n", Text),
+            opt("probe-down-after", "n", Count),
+            opt("seed", "u", Text),
+            opt("workers", "n", Text),
+            opt("queue-depth", "n", Text),
+        ],
+    ),
+    (
+        "chaos",
+        &[
+            req("listen", "host:port", Text),
+            req("upstream", "host:port", Text),
+            opt("seed", "u", Text),
+            opt("fault-rate", "f", Rate),
+        ],
+    ),
+    (
+        "monitor",
+        &[
+            opt("input", "<telemetry.jsonl>", Text),
+            opt("addr", "host:port", Text),
+        ],
+    ),
+    (
+        "trace-view",
+        &[
+            opt("spans", "<file>[,<file>...]", Text),
+            opt("addr", "host:port", Text),
+            opt("request-id", "<id>", Text),
+            opt("trace", "<32-hex>", Text),
+        ],
+    ),
+];
 
+/// The observability flags every subcommand accepts, anywhere on the line.
+const GLOBAL: &[Flag] = &[
+    opt("log-level", "error|warn|info|debug|trace|off", Text),
+    opt("telemetry-out", "<path>", Text),
+    opt("profile", "", Switch),
+    opt("profile-out", "<path>", Text),
+    opt("metrics-out", "<path>", Text),
+    opt("report-out", "<path>", Text),
+    opt("recorder-out", "<path>", Text),
+    opt("span-export", "<path>", Text),
+    opt("chaos-kill", "<site>:<hit>", Text),
+];
+
+const NOTES: &str = "
+--log-level sets the structured events on stderr (overrides PRIVIM_LOG);
+--telemetry-out writes every event as JSON lines; --profile times hot
+kernels and prints the call tree on exit, --profile-out also writes it as
+folded-stack flamegraph text; --metrics-out writes final metrics in
+Prometheus text format; --report-out writes a self-contained HTML run
+report; --recorder-out arms the flight recorder and dumps the last events
+on panic, injected kill, or SIGTERM; --span-export appends every finished
+trace span as JSON lines for `privim trace-view`; --chaos-kill injects a
+process kill at the Nth pass of a fault site (see privim_obs::fault).
+
+A flag given twice is an error; numeric ranges are checked before running.
 Datasets: email, bitcoin, lastfm, hepph, facebook, gowalla.
 Graph files: whitespace edge lists ('src dst [weight]', ids 0..N-1,
 first line may be '# nodes N edges M') or .bin (privim binary format).";
 
-/// Observability options shared by every subcommand.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ObsArgs {
-    /// Stderr event verbosity (`--log-level`); `None` falls back to the
-    /// `PRIVIM_LOG` environment variable unless [`ObsArgs::log_off`].
-    pub log_level: Option<privim_obs::Level>,
-    /// `--log-level off` was given: suppress stderr events even if
-    /// `PRIVIM_LOG` is set.
-    pub log_off: bool,
-    /// JSONL telemetry file (`--telemetry-out`).
-    pub telemetry_out: Option<String>,
-    /// Enable the scoped profiler (`--profile`); the call tree prints to
-    /// stderr when the command finishes.
-    pub profile: bool,
-    /// Folded-stack flamegraph text file (`--profile-out`); implies
-    /// [`ObsArgs::profile`].
-    pub profile_out: Option<String>,
-    /// Prometheus text-format metrics file (`--metrics-out`).
-    pub metrics_out: Option<String>,
-    /// Self-contained HTML run-report file (`--report-out`).
-    pub report_out: Option<String>,
-    /// Arm the flight recorder and dump it here on panic, injected
-    /// kill, or SIGTERM (`--recorder-out`).
-    pub recorder_out: Option<String>,
-    /// Span-export JSONL file (`--span-export`): append every finished
-    /// trace span for later `privim trace-view` assembly.
-    pub span_export: Option<String>,
-    /// Inject a kill at the `hit`-th pass of a fault site
-    /// (`--chaos-kill site:hit`), for deterministic crash drills.
-    pub chaos_kill: Option<(String, u64)>,
+/// The help text, rendered from the flag tables.
+pub fn usage() -> String {
+    let mut out =
+        "privim — differentially private GNNs for influence maximization\n\nUSAGE:\n".to_string();
+    for (name, flags) in COMMANDS {
+        push_wrapped(&mut out, format!("  privim {name:<8}"), flags);
+    }
+    out.push_str("  privim help\n\nGLOBAL FLAGS (any subcommand, anywhere on the line):\n");
+    push_wrapped(&mut out, " ".to_string(), GLOBAL);
+    out + NOTES
 }
 
-impl ObsArgs {
-    /// The effective stderr verbosity after combining the flag with the
-    /// `PRIVIM_LOG` environment variable (flag wins).
-    pub fn effective_level(&self) -> Option<privim_obs::Level> {
-        if self.log_off {
-            return None;
+/// Appends `line` followed by `flags`, wrapped at 78 columns.
+fn push_wrapped(out: &mut String, mut line: String, flags: &[Flag]) {
+    for f in flags {
+        let mut text = format!("--{} {}", f.name, f.hint).trim_end().to_string();
+        if !f.required {
+            text = format!("[{text}]");
         }
-        self.log_level.or_else(privim_obs::Level::from_env)
+        if line.len() + 1 + text.len() > 78 && !line.trim().is_empty() {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(17);
+        }
+        line = format!("{line} {text}");
     }
+    out.push_str(&line);
+    out.push('\n');
 }
 
-/// Strips the global observability flags from anywhere in the command
-/// line, returning the remaining arguments (for [`parse_command`]) and
-/// the parsed [`ObsArgs`].
-pub fn split_obs_args(args: &[String]) -> Result<(Vec<String>, ObsArgs), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut obs = ObsArgs::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log-level" => {
-                let v = it.next().ok_or("--log-level needs a value")?;
-                if v.eq_ignore_ascii_case("off") {
-                    obs.log_off = true;
-                    obs.log_level = None;
-                } else {
-                    obs.log_off = false;
-                    obs.log_level = Some(v.parse().map_err(|e| format!("bad --log-level: {e}"))?);
-                }
-            }
-            "--telemetry-out" => {
-                let v = it.next().ok_or("--telemetry-out needs a value")?;
-                obs.telemetry_out = Some(v.clone());
-            }
-            "--profile" => obs.profile = true,
-            "--profile-out" => {
-                let v = it.next().ok_or("--profile-out needs a value")?;
-                obs.profile = true;
-                obs.profile_out = Some(v.clone());
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out needs a value")?;
-                obs.metrics_out = Some(v.clone());
-            }
-            "--report-out" => {
-                let v = it.next().ok_or("--report-out needs a value")?;
-                obs.report_out = Some(v.clone());
-            }
-            "--recorder-out" => {
-                let v = it.next().ok_or("--recorder-out needs a value")?;
-                obs.recorder_out = Some(v.clone());
-            }
-            "--span-export" => {
-                let v = it.next().ok_or("--span-export needs a value")?;
-                obs.span_export = Some(v.clone());
-            }
-            "--chaos-kill" => {
-                let v = it.next().ok_or("--chaos-kill needs a value")?;
-                let (site, hit) = v
-                    .rsplit_once(':')
-                    .ok_or("--chaos-kill needs site:hit (e.g. checkpoint.write.mid:1)")?;
-                let hit: u64 = hit
-                    .parse()
-                    .map_err(|e| format!("bad --chaos-kill hit count: {e}"))?;
-                if site.is_empty() || hit == 0 {
-                    return Err("--chaos-kill needs a non-empty site and a hit count >= 1".into());
-                }
-                obs.chaos_kill = Some((site.to_string(), hit));
-            }
-            _ => rest.push(arg.clone()),
-        }
-    }
+/// Strips the global flags from anywhere in the command line, returning
+/// the remaining arguments (for [`parse_command`]) and the global flags.
+pub fn split_obs_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
+    let (obs, rest) = Flags::take(args, GLOBAL)?;
+    obs.log_level()?;
+    obs.chaos_kill()?;
     Ok((rest, obs))
 }
 
@@ -462,54 +445,184 @@ pub fn parse_model(s: &str) -> Result<ModelKind, String> {
     }
 }
 
-struct Flags {
-    pairs: Vec<(String, String)>,
+/// The flags of one table given on a command line; a switch's value is
+/// empty.
+#[derive(Debug)]
+pub struct Flags {
+    table: &'static [Flag],
+    given: Vec<(&'static str, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
+    /// Takes every flag of `table` out of `args`, wherever it appears, and
+    /// returns the arguments left over.
+    fn take(args: &[String], table: &'static [Flag]) -> Result<(Flags, Vec<String>), String> {
+        let mut flags = Flags {
+            table,
+            given: Vec::new(),
+        };
+        let mut rest = Vec::new();
         let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let name = flag
+        while let Some(arg) = it.next() {
+            let entry = arg
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, found {flag}"))?;
-            let value = it
-                .next()
-                .ok_or_else(|| format!("--{name} needs a value"))?
-                .clone();
-            pairs.push((name.to_string(), value));
+                .and_then(|name| table.iter().find(|f| f.name == name));
+            let Some(f) = entry else {
+                rest.push(arg.clone());
+                continue;
+            };
+            if flags.has(f.name) {
+                return Err(format!("--{} given twice", f.name));
+            }
+            let value = match f.kind {
+                Switch => String::new(),
+                kind => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| format!("--{} needs a value", f.name))?;
+                    kind.check(f.name, v)?;
+                    v.clone()
+                }
+            };
+            flags.given.push((f.name, value));
         }
-        Ok(Flags { pairs })
+        Ok((flags, rest))
     }
 
-    fn get(&self, name: &str) -> Option<&str> {
-        self.pairs
+    /// Parses `args` against `table` alone: anything else is an error, and
+    /// so is a missing required flag.
+    fn parse(args: &[String], table: &'static [Flag]) -> Result<Flags, String> {
+        let (flags, rest) = Flags::take(args, table)?;
+        let mut unknown = Vec::new();
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            let name = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected --flag, found {arg}"))?;
+            unknown.push(name);
+            it.next();
+        }
+        if !unknown.is_empty() {
+            return Err(format!("unknown flags: {}", unknown.join(", ")));
+        }
+        match table.iter().find(|f| f.required && !flags.has(f.name)) {
+            Some(f) => Err(format!("missing required --{}", f.name)),
+            None => Ok(flags),
+        }
+    }
+
+    pub fn str(&self, name: &str) -> Option<&str> {
+        debug_assert!(self.table.iter().any(|f| f.name == name), "no --{name}");
+        self.given
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, v)| v.as_str())
     }
 
-    fn require(&self, name: &str) -> Result<&str, String> {
-        self.get(name)
-            .ok_or_else(|| format!("missing required --{name}"))
+    pub fn has(&self, name: &str) -> bool {
+        self.str(name).is_some()
     }
 
-    fn parse_opt<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.get(name) {
-            Some(v) => v.parse().map_err(|e| format!("bad --{name}: {e}")),
-            None => Ok(default),
+    /// Refuses `a` together with `b` and, when `needed`, neither of them.
+    fn exclusive(&self, cmd: &str, a: &str, b: &str, needed: bool) -> Result<(), String> {
+        let hint = |name| {
+            self.table
+                .iter()
+                .find(|f| f.name == name)
+                .map_or("", |f| f.hint)
+        };
+        match (self.has(a), self.has(b)) {
+            (true, true) => Err(format!("{cmd} takes --{a} or --{b}, not both")),
+            (false, false) if needed => Err(format!(
+                "{cmd} needs --{a} {} or --{b} {}",
+                hint(a),
+                hint(b)
+            )),
+            _ => Ok(()),
         }
     }
 
-    fn unknown_flags(&self, allowed: &[&str]) -> Vec<String> {
-        self.pairs
-            .iter()
-            .filter(|(n, _)| !allowed.contains(&n.as_str()))
-            .map(|(n, _)| n.clone())
+    /// The stderr event verbosity: `--log-level`, else `PRIVIM_LOG`;
+    /// `--log-level off` silences both.
+    pub fn log_level(&self) -> Result<Option<privim_obs::Level>, String> {
+        match self.str("log-level") {
+            Some(v) if v.eq_ignore_ascii_case("off") => Ok(None),
+            Some(v) => v
+                .parse()
+                .map(Some)
+                .map_err(|e| format!("bad --log-level: {e}")),
+            None => Ok(privim_obs::Level::from_env()),
+        }
+    }
+
+    /// `--profile`, which `--profile-out` implies.
+    pub fn profiling(&self) -> bool {
+        self.has("profile") || self.has("profile-out")
+    }
+
+    /// `--chaos-kill site:hit`: kill the process at the `hit`-th pass of
+    /// a fault site.
+    pub fn chaos_kill(&self) -> Result<Option<(String, u64)>, String> {
+        let Some(v) = self.str("chaos-kill") else {
+            return Ok(None);
+        };
+        let (site, hit) = v
+            .rsplit_once(':')
+            .ok_or("--chaos-kill needs site:hit (e.g. checkpoint.write.mid:1)")?;
+        let hit: u64 = hit
+            .parse()
+            .map_err(|e| format!("bad --chaos-kill hit count: {e}"))?;
+        if site.is_empty() || hit == 0 {
+            return Err("--chaos-kill needs a non-empty site and a hit count >= 1".into());
+        }
+        Ok(Some((site.to_string(), hit)))
+    }
+
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.str(name)
+            .map(|v| v.parse().map_err(|e| format!("bad --{name}: {e}")))
+            .transpose()
+    }
+
+    /// A required flag's value.
+    fn arg<T: FromStr>(&self, name: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.get(name)?
+            .ok_or_else(|| format!("missing required --{name}"))
+    }
+
+    /// Overwrites `slot` when the flag is given.
+    fn set<T: FromStr>(&self, name: &str, slot: &mut T) -> Result<(), String>
+    where
+        T::Err: Display,
+    {
+        if let Some(v) = self.get(name)? {
+            *slot = v;
+        }
+        Ok(())
+    }
+
+    /// Overwrites `slot` with the flag's milliseconds, at least 1.
+    fn set_ms(&self, name: &str, slot: &mut Duration) -> Result<(), String> {
+        if let Some(ms) = self.get::<u64>(name)? {
+            *slot = Duration::from_millis(ms.max(1));
+        }
+        Ok(())
+    }
+
+    /// A comma-separated list, trimmed, without empty items.
+    fn list(&self, name: &str) -> Vec<String> {
+        self.str(name)
+            .unwrap_or_default()
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
             .collect()
     }
 }
@@ -519,444 +632,263 @@ pub fn parse_command(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "generate" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(&f, &["dataset", "scale", "seed", "output"])?;
-            Ok(Command::Generate(GenerateArgs {
-                dataset: parse_dataset(f.require("dataset")?)?,
-                scale: f.parse_opt("scale", 0.1)?,
-                seed: f.parse_opt("seed", 42)?,
-                output: f.require("output")?.to_string(),
-            }))
-        }
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let Some((_, table)) = COMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return Err(format!("unknown command: {cmd}\n\n{}", usage()));
+    };
+    let f = Flags::parse(&args[1..], table)?;
+    Ok(match cmd.as_str() {
+        "generate" => Command::Generate {
+            dataset: parse_dataset(&f.arg::<String>("dataset")?)?,
+            scale: f.get("scale")?.unwrap_or(0.1),
+            seed: f.get("seed")?.unwrap_or(42),
+            output: f.arg("output")?,
+        },
         "train" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(
-                &f,
-                &[
-                    "graph",
-                    "method",
-                    "model",
-                    "epsilon",
-                    "k",
-                    "iterations",
-                    "seed",
-                    "checkpoint",
-                    "checkpoint-dir",
-                    "resume",
-                    "checkpoint-every",
-                    "keep",
-                    "epsilon-budget",
-                    "budget-warn-fraction",
-                ],
-            )?;
-            if f.get("resume").is_some() && f.get("checkpoint-dir").is_some() {
-                return Err(
-                    "--resume already names the checkpoint directory; drop --checkpoint-dir".into(),
-                );
-            }
-            let checkpoint_every: usize = f.parse_opt("checkpoint-every", 5)?;
-            if checkpoint_every == 0 {
-                return Err("--checkpoint-every must be positive".into());
-            }
-            let keep: usize = f.parse_opt("keep", 3)?;
-            if keep == 0 {
-                return Err("--keep must be positive".into());
-            }
-            let epsilon_budget: Option<f64> = match f.get("epsilon-budget") {
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|e| format!("bad --epsilon-budget: {e}"))?,
-                ),
-                None => None,
+            let store =
+                match (f.get("resume")?, f.get("checkpoint-dir")?) {
+                    (Some(_), Some(_)) => return Err(
+                        "--resume already names the checkpoint directory; drop --checkpoint-dir"
+                            .into(),
+                    ),
+                    (Some(dir), None) => Some((dir, true)),
+                    (None, dir) => dir.map(|d| (d, false)),
+                };
+            // The CLI trains a smaller, faster model than the library's
+            // defaults, and is non-private unless --epsilon is given.
+            let mut config = PrivImConfig {
+                epsilon: f.get("epsilon")?,
+                iterations: 60,
+                batch_size: 32,
+                hidden: 16,
+                subgraph_size: 20,
+                hops: 2,
+                learning_rate: 0.02,
+                ..PrivImConfig::default()
             };
-            if let Some(b) = epsilon_budget {
-                if !(b > 0.0 && b.is_finite()) {
-                    return Err("--epsilon-budget must be positive and finite".into());
-                }
-                if f.get("epsilon").is_none() {
-                    return Err(
-                        "--epsilon-budget only applies to private runs; add --epsilon".into(),
-                    );
-                }
-                if f.get("checkpoint-dir").is_none() && f.get("resume").is_none() {
-                    return Err("--epsilon-budget needs a crash-safe run so the halt can \
-                                persist a checkpoint; add --checkpoint-dir or --resume"
-                        .into());
-                }
+            if let Some(m) = f.str("model") {
+                config.model = parse_model(m)?;
             }
-            let budget_warn_fraction: f64 = f.parse_opt("budget-warn-fraction", 0.8)?;
-            if !(budget_warn_fraction > 0.0 && budget_warn_fraction <= 1.0) {
-                return Err("--budget-warn-fraction must be in (0, 1]".into());
+            f.set("k", &mut config.seed_size)?;
+            f.set("iterations", &mut config.iterations)?;
+            let mut resume = ResumeOptions {
+                checkpoint_every: 5,
+                epsilon_budget: f.get("epsilon-budget")?,
+                ..ResumeOptions::default()
+            };
+            f.set("checkpoint-every", &mut resume.checkpoint_every)?;
+            f.set("keep", &mut resume.keep)?;
+            f.set("budget-warn-fraction", &mut resume.budget_warn_fraction)?;
+            if resume.epsilon_budget.is_some() && config.epsilon.is_none() {
+                return Err("--epsilon-budget only applies to private runs; add --epsilon".into());
             }
-            Ok(Command::Train(TrainArgs {
-                graph: f.require("graph")?.to_string(),
-                method: parse_method(f.get("method").unwrap_or("privim*"))?,
-                model: parse_model(f.get("model").unwrap_or("grat"))?,
-                epsilon: match f.get("epsilon") {
-                    Some(v) => Some(v.parse().map_err(|e| format!("bad --epsilon: {e}"))?),
-                    None => None,
-                },
-                seed_size: f.parse_opt("k", 50)?,
-                iterations: f.parse_opt("iterations", 60)?,
-                seed: f.parse_opt("seed", 42)?,
-                checkpoint: f.get("checkpoint").map(str::to_string),
-                checkpoint_dir: f.get("checkpoint-dir").map(str::to_string),
-                resume: f.get("resume").map(str::to_string),
-                checkpoint_every,
-                keep,
-                epsilon_budget,
-                budget_warn_fraction,
-            }))
+            if resume.epsilon_budget.is_some() && store.is_none() {
+                return Err("--epsilon-budget needs a crash-safe run so the halt can \
+                            persist a checkpoint; add --checkpoint-dir or --resume"
+                    .into());
+            }
+            Command::Train {
+                graph: f.arg("graph")?,
+                method: parse_method(f.str("method").unwrap_or("privim*"))?,
+                seed: f.get("seed")?.unwrap_or(42),
+                checkpoint: f.get("checkpoint")?,
+                store,
+                config,
+                resume,
+            }
         }
-        "select" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(&f, &["graph", "checkpoint", "k"])?;
-            Ok(Command::Select(SelectArgs {
-                graph: f.require("graph")?.to_string(),
-                checkpoint: f.require("checkpoint")?.to_string(),
-                seed_size: f.parse_opt("k", 50)?,
-            }))
-        }
+        "select" => Command::Select {
+            graph: f.arg("graph")?,
+            checkpoint: f.arg("checkpoint")?,
+            k: f.get("k")?.unwrap_or(50),
+        },
         "evaluate" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(&f, &["graph", "seeds", "steps", "trials"])?;
             let seeds: Result<Vec<u32>, _> = f
-                .require("seeds")?
+                .arg::<String>("seeds")?
                 .split(',')
                 .map(|s| s.trim().parse::<u32>())
                 .collect();
-            Ok(Command::Evaluate(EvaluateArgs {
-                graph: f.require("graph")?.to_string(),
+            Command::Evaluate {
+                graph: f.arg("graph")?,
                 seeds: seeds.map_err(|e| format!("bad --seeds: {e}"))?,
-                steps: match f.get("steps") {
-                    Some(v) => Some(v.parse().map_err(|e| format!("bad --steps: {e}"))?),
-                    None => Some(1),
-                },
-                trials: f.parse_opt("trials", 1000)?,
-            }))
+                diffusion: DiffusionConfig::ic_with_steps(f.get("steps")?.unwrap_or(1)),
+                trials: f.get("trials")?.unwrap_or(1000),
+            }
         }
-        "account" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(
-                &f,
-                &[
-                    "epsilon",
-                    "delta",
-                    "iterations",
-                    "batch",
-                    "container",
-                    "occurrences",
-                    "checkpoint",
-                ],
-            )?;
-            Ok(Command::Account(AccountArgs {
-                epsilon: f
-                    .require("epsilon")?
-                    .parse()
-                    .map_err(|e| format!("bad --epsilon: {e}"))?,
-                delta: f.parse_opt("delta", 1e-5)?,
-                iterations: f.parse_opt("iterations", 60)?,
-                batch: f.parse_opt("batch", 32)?,
-                container: f.parse_opt("container", 100)?,
-                occurrences: f.parse_opt("occurrences", 4)?,
-                checkpoint: f.get("checkpoint").map(str::to_string),
-            }))
-        }
+        "account" => Command::Account {
+            epsilon: f.arg("epsilon")?,
+            delta: f.get("delta")?.unwrap_or(1e-5),
+            iterations: f.get("iterations")?.unwrap_or(60),
+            sampling: SubsampledConfig {
+                max_occurrences: f.get("occurrences")?.unwrap_or(4),
+                batch_size: f.get("batch")?.unwrap_or(32),
+                container_size: f.get("container")?.unwrap_or(100),
+            },
+            checkpoint: f.get("checkpoint")?,
+        },
         "audit" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(
-                &f,
-                &[
-                    "graph",
-                    "checkpoint-dirs",
-                    "attack",
-                    "mode",
-                    "addr",
-                    "seed",
-                    "json",
-                    "low-fpr",
-                    "max-pairs",
-                ],
-            )?;
-            let checkpoint_dirs: Vec<String> = f
-                .require("checkpoint-dirs")?
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
+            let checkpoint_dirs = f.list("checkpoint-dirs");
             if checkpoint_dirs.is_empty() {
                 return Err("--checkpoint-dirs needs at least one directory".into());
             }
-            let attack = match f.get("attack").unwrap_or("both") {
-                "membership" => AuditAttack::Membership,
-                "topology" => AuditAttack::Topology,
-                "both" => AuditAttack::Both,
+            let attack = match f.str("attack").unwrap_or("both") {
+                "membership" => Attack::Membership,
+                "topology" => Attack::Topology,
+                "both" => Attack::Both,
                 other => return Err(format!("bad --attack: {other}")),
             };
-            let mode = match f.get("mode").unwrap_or("white-box") {
-                "white-box" | "whitebox" => AuditMode::WhiteBox,
-                "black-box" | "blackbox" => AuditMode::BlackBox,
-                "both" => AuditMode::Both,
+            let mode = match f.str("mode").unwrap_or("white-box") {
+                "white-box" | "whitebox" => Mode::WhiteBox,
+                "black-box" | "blackbox" => Mode::BlackBox,
+                "both" => Mode::Both,
                 other => return Err(format!("bad --mode: {other}")),
             };
-            let addr = f.get("addr").map(str::to_string);
-            if matches!(mode, AuditMode::BlackBox | AuditMode::Both) && addr.is_none() {
+            let addr = f.get("addr")?;
+            if mode != Mode::WhiteBox && addr.is_none() {
                 return Err("black-box audits need --addr host:port of a live server".into());
             }
-            let low_fpr: f64 = f.parse_opt("low-fpr", 0.1)?;
-            if !(low_fpr > 0.0 && low_fpr < 1.0) {
-                return Err("--low-fpr must be in (0, 1)".into());
-            }
-            let max_pairs: usize = f.parse_opt("max-pairs", 200_000)?;
-            if max_pairs == 0 {
-                return Err("--max-pairs must be positive".into());
-            }
-            Ok(Command::Audit(AuditArgs {
-                graph: f.require("graph")?.to_string(),
+            Command::Audit {
+                graph: f.arg("graph")?,
                 checkpoint_dirs,
-                attack,
-                mode,
-                addr,
-                seed: f.parse_opt("seed", 42)?,
-                json: f.get("json").map(str::to_string),
-                low_fpr,
-                max_pairs,
-            }))
+                json: f.get("json")?,
+                config: AuditConfig {
+                    attack,
+                    mode,
+                    seed: f.get("seed")?.unwrap_or(42),
+                    low_fpr: f.get("low-fpr")?.unwrap_or(0.1),
+                    max_pairs: f.get("max-pairs")?.unwrap_or(200_000),
+                    addr,
+                },
+            }
         }
         "serve" => {
-            // `--debug-endpoints` is the one valueless serve flag; strip
-            // it before the pair-based parser sees the rest.
-            let mut rest: Vec<String> = rest.to_vec();
-            let before = rest.len();
-            rest.retain(|a| a != "--debug-endpoints");
-            let debug_endpoints = rest.len() != before;
-            let f = Flags::parse(&rest)?;
-            check_unknown(
-                &f,
-                &[
-                    "graph",
-                    "checkpoint",
-                    "follow",
-                    "poll-ms",
-                    "addr",
-                    "workers",
-                    "queue-depth",
-                    "deadline-ms",
-                    "max-trials",
-                    "spread-threads",
-                    "slow-ms",
-                    "slo-target-ms",
-                    "slo-window",
-                    "slo-error-budget",
-                ],
-            )?;
-            let checkpoint = f.get("checkpoint").map(str::to_string);
-            let follow = f.get("follow").map(str::to_string);
-            match (&checkpoint, &follow) {
-                (None, None) => {
-                    return Err("serve needs --checkpoint <path> or --follow <dir>".into())
-                }
-                (Some(_), Some(_)) => {
-                    return Err("serve takes --checkpoint or --follow, not both".into())
-                }
-                _ => {}
+            f.exclusive("serve", "checkpoint", "follow", true)?;
+            // In `--follow` mode checkpoints come from the store, not this
+            // path; `App::from_parts` only reads the limit fields.
+            let checkpoint = f.get::<String>("checkpoint")?.unwrap_or_default();
+            let mut app = AppConfig::new(f.arg::<String>("graph")?, checkpoint);
+            f.set("max-trials", &mut app.max_trials)?;
+            f.set("spread-threads", &mut app.spread_threads)?;
+            app.debug_endpoints |= f.has("debug-endpoints");
+            let mut server = ServerConfig {
+                addr: "127.0.0.1:7878".into(),
+                ..ServerConfig::default()
+            };
+            f.set("addr", &mut server.addr)?;
+            f.set("workers", &mut server.workers)?;
+            f.set("queue-depth", &mut server.queue_depth)?;
+            f.set_ms("deadline-ms", &mut server.deadline)?;
+            f.set_ms("slow-ms", &mut server.slow_threshold)?;
+            let mut slo = SloConfig::default();
+            if let Some(ms) = f.get::<u64>("slo-target-ms")? {
+                slo.target_p99_ms = ms as f64;
             }
-            let poll_ms: u64 = f.parse_opt("poll-ms", 1_000)?;
-            if poll_ms == 0 {
-                return Err("--poll-ms must be positive".into());
+            f.set("slo-window", &mut slo.window)?;
+            f.set("slo-error-budget", &mut slo.error_budget)?;
+            Command::Serve {
+                app,
+                server,
+                slo,
+                follow: f.get("follow")?,
+                poll_ms: f.get("poll-ms")?.unwrap_or(1_000),
             }
-            let slo_window: usize = f.parse_opt("slo-window", 512)?;
-            if slo_window == 0 {
-                return Err("--slo-window must be positive".into());
-            }
-            let slo_error_budget: f64 = f.parse_opt("slo-error-budget", 0.01)?;
-            if !(slo_error_budget > 0.0 && slo_error_budget < 1.0) {
-                return Err("--slo-error-budget must be in (0, 1)".into());
-            }
-            Ok(Command::Serve(ServeArgs {
-                graph: f.require("graph")?.to_string(),
-                checkpoint,
-                follow,
-                poll_ms,
-                addr: f.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
-                workers: f.parse_opt("workers", 4)?,
-                queue_depth: f.parse_opt("queue-depth", 64)?,
-                deadline_ms: f.parse_opt("deadline-ms", 10_000)?,
-                max_trials: f.parse_opt("max-trials", 100_000)?,
-                spread_threads: f.parse_opt("spread-threads", 2)?,
-                slow_ms: f.parse_opt("slow-ms", 1_000)?,
-                debug_endpoints,
-                slo_target_ms: f.parse_opt("slo-target-ms", 250)?,
-                slo_window,
-                slo_error_budget,
-            }))
         }
         "route" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(
-                &f,
-                &[
-                    "backends",
-                    "addr",
-                    "retries",
-                    "backoff-ms",
-                    "timeout-ms",
-                    "hedge-ms",
-                    "breaker-failures",
-                    "breaker-cooldown-ms",
-                    "health-interval-ms",
-                    "probe-down-after",
-                    "seed",
-                    "workers",
-                    "queue-depth",
-                ],
-            )?;
-            let backends: Vec<String> = f
-                .require("backends")?
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            if backends.is_empty() {
+            let mut router = RouterConfig {
+                backends: f.list("backends"),
+                ..RouterConfig::default()
+            };
+            if router.backends.is_empty() {
                 return Err("--backends needs at least one host:port".into());
             }
-            let hedge_ms = match f.get("hedge-ms") {
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|e| format!("bad --hedge-ms: {e}"))?,
-                ),
-                None => None,
+            f.set("retries", &mut router.retries)?;
+            if let Some(ms) = f.get("backoff-ms")? {
+                router.backoff = Duration::from_millis(ms);
+            }
+            f.set_ms("timeout-ms", &mut router.timeout)?;
+            router.hedge_after = f.get("hedge-ms")?.map(Duration::from_millis);
+            f.set("breaker-failures", &mut router.breaker_failures)?;
+            f.set_ms("breaker-cooldown-ms", &mut router.breaker_cooldown)?;
+            f.set_ms("health-interval-ms", &mut router.health_interval)?;
+            f.set("probe-down-after", &mut router.probe_down_after)?;
+            f.set("seed", &mut router.seed)?;
+            // The front-end deadline must outlive a full retry ladder:
+            // every attempt's timeout plus the exponential backoffs between.
+            let ms = |d: Duration| d.as_millis() as u64;
+            let ladder = ms(router.timeout)
+                .saturating_mul(u64::from(router.retries) + 2)
+                .saturating_add(ms(router.backoff).saturating_mul(1 << router.retries.min(10)));
+            let mut server = ServerConfig {
+                addr: "127.0.0.1:7800".into(),
+                deadline: Duration::from_millis(ladder),
+                ..ServerConfig::default()
             };
-            let breaker_failures: u32 = f.parse_opt("breaker-failures", 3)?;
-            if breaker_failures == 0 {
-                return Err("--breaker-failures must be positive".into());
-            }
-            let probe_down_after: u32 = f.parse_opt("probe-down-after", 2)?;
-            if probe_down_after == 0 {
-                return Err("--probe-down-after must be positive".into());
-            }
-            Ok(Command::Route(RouteArgs {
-                backends,
-                addr: f.get("addr").unwrap_or("127.0.0.1:7800").to_string(),
-                retries: f.parse_opt("retries", 2)?,
-                backoff_ms: f.parse_opt("backoff-ms", 50)?,
-                timeout_ms: f.parse_opt("timeout-ms", 10_000)?,
-                hedge_ms,
-                breaker_failures,
-                breaker_cooldown_ms: f.parse_opt("breaker-cooldown-ms", 1_000)?,
-                health_interval_ms: f.parse_opt("health-interval-ms", 500)?,
-                probe_down_after,
-                seed: f.parse_opt("seed", 0)?,
-                workers: f.parse_opt("workers", 4)?,
-                queue_depth: f.parse_opt("queue-depth", 64)?,
-            }))
+            f.set("addr", &mut server.addr)?;
+            f.set("workers", &mut server.workers)?;
+            f.set("queue-depth", &mut server.queue_depth)?;
+            Command::Route { router, server }
         }
-        "chaos" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(&f, &["listen", "upstream", "seed", "fault-rate"])?;
-            let fault_rate: f64 = f.parse_opt("fault-rate", 0.1)?;
-            if !(0.0..=1.0).contains(&fault_rate) {
-                return Err("--fault-rate must be in [0, 1]".into());
-            }
-            Ok(Command::Chaos(ChaosArgs {
-                listen: f.require("listen")?.to_string(),
-                upstream: f.require("upstream")?.to_string(),
-                seed: f.parse_opt("seed", 0)?,
-                fault_rate,
-            }))
-        }
+        "chaos" => Command::Chaos(ChaosConfig {
+            listen: f.arg("listen")?,
+            upstream: f.arg("upstream")?,
+            seed: f.get("seed")?.unwrap_or(0),
+            fault_rate: f.get("fault-rate")?.unwrap_or(0.1),
+        }),
         "monitor" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(&f, &["input", "addr"])?;
-            let input = f.get("input").map(str::to_string);
-            let addr = f.get("addr").map(str::to_string);
-            match (&input, &addr) {
-                (None, None) => {
-                    return Err(
-                        "monitor needs --input <telemetry.jsonl> or --addr host:port".into(),
-                    )
-                }
-                (Some(_), Some(_)) => {
-                    return Err("monitor takes --input or --addr, not both".into())
-                }
-                _ => {}
-            }
-            Ok(Command::Monitor(MonitorArgs { input, addr }))
+            f.exclusive("monitor", "input", "addr", true)?;
+            Command::Monitor(match f.get("input")? {
+                Some(path) => Source::File(path),
+                None => Source::Live(f.arg("addr")?),
+            })
         }
-        "trace-view" => {
-            let f = Flags::parse(rest)?;
-            check_unknown(&f, &["spans", "request-id", "trace", "addr"])?;
-            let spans: Vec<String> = f
-                .get("spans")
-                .map(|v| {
-                    v.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect()
-                })
-                .unwrap_or_default();
-            let addr = f.get("addr").map(str::to_string);
-            match (spans.is_empty(), &addr) {
-                (true, None) => {
+        _ => {
+            let spans = f.list("spans");
+            match (spans.is_empty(), f.has("addr")) {
+                (true, false) => {
                     return Err(
                         "trace-view needs --spans <file>[,<file>...] or --addr host:port".into(),
                     )
                 }
-                (false, Some(_)) => {
-                    return Err("trace-view takes --spans or --addr, not both".into())
-                }
+                (false, true) => return Err("trace-view takes --spans or --addr, not both".into()),
                 _ => {}
             }
-            let trace = f.get("trace").map(str::to_string);
+            f.exclusive("trace-view", "request-id", "trace", false)?;
+            let trace: Option<String> = f.get("trace")?;
             if let Some(t) = &trace {
-                let ok = t.len() == 32 && t.bytes().all(|b| b.is_ascii_hexdigit());
-                if !ok {
+                if !(t.len() == 32 && t.bytes().all(|b| b.is_ascii_hexdigit())) {
                     return Err("--trace must be a 32-digit hex trace id".into());
                 }
             }
-            let request_id = f.get("request-id").map(str::to_string);
-            if trace.is_some() && request_id.is_some() {
-                return Err("trace-view takes --request-id or --trace, not both".into());
-            }
-            Ok(Command::TraceView(TraceViewArgs {
+            Command::TraceView(TraceViewArgs {
                 spans,
-                request_id,
+                request_id: f.get("request-id")?,
                 trace,
-                addr,
-            }))
+                addr: f.get("addr")?,
+            })
         }
-        other => Err(format!("unknown command: {other}\n\n{USAGE}")),
-    }
-}
-
-fn check_unknown(f: &Flags, allowed: &[&str]) -> Result<(), String> {
-    let unknown = f.unknown_flags(allowed);
-    if unknown.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("unknown flags: {}", unknown.join(", ")))
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privim_im::models::DiffusionModel;
 
     fn parse(parts: &[&str]) -> Result<Command, String> {
         parse_command(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
+    fn split(parts: &[&str]) -> Result<(Vec<String>, Flags), String> {
+        split_obs_args(&parts.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn empty_and_help() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&["help"]).unwrap(), Command::Help);
-        assert_eq!(parse(&["--help"]).unwrap(), Command::Help);
+        assert!(matches!(parse(&[]).unwrap(), Command::Help));
+        assert!(matches!(parse(&["help"]).unwrap(), Command::Help));
+        assert!(matches!(parse(&["--help"]).unwrap(), Command::Help));
     }
 
     #[test]
@@ -972,11 +904,23 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Generate(a) => {
-                assert_eq!(a.dataset, Dataset::LastFm);
-                assert_eq!(a.scale, 0.2);
-                assert_eq!(a.seed, 42);
-                assert_eq!(a.output, "g.bin");
+            Command::Generate {
+                dataset,
+                scale,
+                seed,
+                output,
+            } => {
+                assert_eq!(dataset, Dataset::LastFm);
+                assert_eq!(scale, 0.2);
+                assert_eq!(seed, 42);
+                assert_eq!(output, "g.bin");
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse(&["generate", "--dataset", "email", "--output", "g.bin"]).unwrap() {
+            Command::Generate { scale, seed, .. } => {
+                assert_eq!(scale, 0.1);
+                assert_eq!(seed, 42);
             }
             other => panic!("{other:?}"),
         }
@@ -986,12 +930,12 @@ mod tests {
     fn train_defaults_and_overrides() {
         let cmd = parse(&["train", "--graph", "g.bin", "--epsilon", "3", "--k", "10"]).unwrap();
         match cmd {
-            Command::Train(a) => {
-                assert_eq!(a.method, Method::PrivImStar);
-                assert_eq!(a.model, ModelKind::Grat);
-                assert_eq!(a.epsilon, Some(3.0));
-                assert_eq!(a.seed_size, 10);
-                assert_eq!(a.iterations, 60);
+            Command::Train { method, config, .. } => {
+                assert_eq!(method, Method::PrivImStar);
+                assert_eq!(config.model, ModelKind::Grat);
+                assert_eq!(config.epsilon, Some(3.0));
+                assert_eq!(config.seed_size, 10);
+                assert_eq!(config.iterations, 60);
             }
             other => panic!("{other:?}"),
         }
@@ -1000,10 +944,10 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Train(a) => {
-                assert_eq!(a.method, Method::HpGrat);
-                assert_eq!(a.model, ModelKind::Gcn);
-                assert_eq!(a.epsilon, None);
+            Command::Train { method, config, .. } => {
+                assert_eq!(method, Method::HpGrat);
+                assert_eq!(config.model, ModelKind::Gcn);
+                assert_eq!(config.epsilon, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1013,11 +957,61 @@ mod tests {
     fn train_resume_flags() {
         let cmd = parse(&["train", "--graph", "g.bin"]).unwrap();
         match cmd {
-            Command::Train(a) => {
-                assert_eq!(a.checkpoint_dir, None);
-                assert_eq!(a.resume, None);
-                assert_eq!(a.checkpoint_every, 5);
-                assert_eq!(a.keep, 3);
+            Command::Train {
+                graph,
+                method,
+                seed,
+                checkpoint,
+                store,
+                config,
+                resume,
+            } => {
+                assert_eq!(graph, "g.bin");
+                assert_eq!(method, Method::PrivImStar);
+                assert_eq!(config.model, ModelKind::Grat);
+                assert_eq!(config.epsilon, None, "no --epsilon is a non-private run");
+                assert_eq!(config.seed_size, 50);
+                assert_eq!(config.iterations, 60);
+                assert_eq!(seed, 42);
+                assert_eq!(checkpoint, None);
+                assert_eq!(store, None);
+                assert_eq!(resume.checkpoint_every, 5);
+                assert_eq!(resume.keep, 3);
+                assert_eq!(resume.epsilon_budget, None);
+                assert_eq!(resume.budget_warn_fraction, 0.8);
+                assert_eq!(resume.split, None);
+                // The CLI's model: smaller and faster than the library's.
+                assert_eq!(config.batch_size, 32);
+                assert_eq!(config.hidden, 16);
+                assert_eq!(config.subgraph_size, 20);
+                assert_eq!(config.hops, 2);
+                assert_eq!(config.learning_rate, 0.02);
+                assert_eq!(
+                    PrivImConfig {
+                        epsilon: Some(4.0),
+                        iterations: 40,
+                        batch_size: 16,
+                        hidden: 32,
+                        subgraph_size: 40,
+                        hops: 3,
+                        learning_rate: 0.005,
+                        ..config
+                    },
+                    PrivImConfig::default(),
+                    "every other training knob is the library's"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse(&["select", "--graph", "g.bin", "--checkpoint", "m.ckpt"]).unwrap() {
+            Command::Select {
+                graph,
+                checkpoint,
+                k,
+            } => {
+                assert_eq!(graph, "g.bin");
+                assert_eq!(checkpoint, "m.ckpt");
+                assert_eq!(k, 50);
             }
             other => panic!("{other:?}"),
         }
@@ -1034,16 +1028,16 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Train(a) => {
-                assert_eq!(a.checkpoint_dir.as_deref(), Some("ckpts"));
-                assert_eq!(a.checkpoint_every, 2);
-                assert_eq!(a.keep, 4);
+            Command::Train { store, resume, .. } => {
+                assert_eq!(store, Some(("ckpts".to_string(), false)));
+                assert_eq!(resume.checkpoint_every, 2);
+                assert_eq!(resume.keep, 4);
             }
             other => panic!("{other:?}"),
         }
         let cmd = parse(&["train", "--graph", "g.bin", "--resume", "ckpts"]).unwrap();
         match cmd {
-            Command::Train(a) => assert_eq!(a.resume.as_deref(), Some("ckpts")),
+            Command::Train { store, .. } => assert_eq!(store, Some(("ckpts".to_string(), true))),
             other => panic!("{other:?}"),
         }
         assert!(parse(&[
@@ -1067,14 +1061,6 @@ mod tests {
 
     #[test]
     fn train_budget_flags() {
-        let cmd = parse(&["train", "--graph", "g.bin"]).unwrap();
-        match cmd {
-            Command::Train(a) => {
-                assert_eq!(a.epsilon_budget, None);
-                assert_eq!(a.budget_warn_fraction, 0.8);
-            }
-            other => panic!("{other:?}"),
-        }
         let cmd = parse(&[
             "train",
             "--graph",
@@ -1090,9 +1076,9 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Train(a) => {
-                assert_eq!(a.epsilon_budget, Some(2.5));
-                assert_eq!(a.budget_warn_fraction, 0.5);
+            Command::Train { resume, .. } => {
+                assert_eq!(resume.epsilon_budget, Some(2.5));
+                assert_eq!(resume.budget_warn_fraction, 0.5);
             }
             other => panic!("{other:?}"),
         }
@@ -1148,21 +1134,9 @@ mod tests {
     #[test]
     fn monitor_needs_exactly_one_source() {
         let cmd = parse(&["monitor", "--input", "run.jsonl"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Monitor(MonitorArgs {
-                input: Some("run.jsonl".into()),
-                addr: None,
-            })
-        );
+        assert!(matches!(cmd, Command::Monitor(Source::File(p)) if p == "run.jsonl"));
         let cmd = parse(&["monitor", "--addr", "127.0.0.1:7878"]).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Monitor(MonitorArgs {
-                input: None,
-                addr: Some("127.0.0.1:7878".into()),
-            })
-        );
+        assert!(matches!(cmd, Command::Monitor(Source::Live(a)) if a == "127.0.0.1:7878"));
         assert!(parse(&["monitor"]).unwrap_err().contains("--input"));
         assert!(
             parse(&["monitor", "--input", "a.jsonl", "--addr", "localhost:1",])
@@ -1175,10 +1149,10 @@ mod tests {
     fn serve_slo_flags() {
         let cmd = parse(&["serve", "--graph", "g.bin", "--checkpoint", "m.json"]).unwrap();
         match cmd {
-            Command::Serve(a) => {
-                assert_eq!(a.slo_target_ms, 250);
-                assert_eq!(a.slo_window, 512);
-                assert_eq!(a.slo_error_budget, 0.01);
+            Command::Serve { slo, .. } => {
+                assert_eq!(slo.target_p99_ms, 250.0);
+                assert_eq!(slo.window, 512);
+                assert_eq!(slo.error_budget, 0.01);
             }
             other => panic!("{other:?}"),
         }
@@ -1197,10 +1171,10 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Serve(a) => {
-                assert_eq!(a.slo_target_ms, 100);
-                assert_eq!(a.slo_window, 64);
-                assert_eq!(a.slo_error_budget, 0.05);
+            Command::Serve { slo, .. } => {
+                assert_eq!(slo.target_p99_ms, 100.0);
+                assert_eq!(slo.window, 64);
+                assert_eq!(slo.error_budget, 0.05);
             }
             other => panic!("{other:?}"),
         }
@@ -1232,10 +1206,17 @@ mod tests {
     fn evaluate_parses_seed_list() {
         let cmd = parse(&["evaluate", "--graph", "g.txt", "--seeds", "1, 2,3"]).unwrap();
         match cmd {
-            Command::Evaluate(a) => {
-                assert_eq!(a.seeds, vec![1, 2, 3]);
-                assert_eq!(a.steps, Some(1));
-                assert_eq!(a.trials, 1000);
+            Command::Evaluate {
+                graph,
+                seeds,
+                diffusion,
+                trials,
+            } => {
+                assert_eq!(graph, "g.txt");
+                assert_eq!(seeds, vec![1, 2, 3]);
+                assert_eq!(diffusion.model, DiffusionModel::IndependentCascade);
+                assert_eq!(diffusion.max_steps, Some(1));
+                assert_eq!(trials, 1000);
             }
             other => panic!("{other:?}"),
         }
@@ -1256,6 +1237,9 @@ mod tests {
         assert!(parse(&["evaluate", "--graph", "g", "--seeds", "a,b"])
             .unwrap_err()
             .contains("bad --seeds"));
+        assert!(parse(&["train", "--graph", "g", "stray"])
+            .unwrap_err()
+            .contains("expected --flag, found stray"));
     }
 
     #[test]
@@ -1268,7 +1252,7 @@ mod tests {
 
     #[test]
     fn obs_flags_are_split_from_any_position() {
-        let argv: Vec<String> = [
+        let (rest, obs) = split(&[
             "train",
             "--log-level",
             "debug",
@@ -1281,28 +1265,29 @@ mod tests {
             "m.prom",
             "--report-out",
             "r.html",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (rest, obs) = split_obs_args(&argv).unwrap();
-        assert_eq!(obs.log_level, Some(privim_obs::Level::Debug));
-        assert_eq!(obs.telemetry_out.as_deref(), Some("run.jsonl"));
-        assert!(obs.profile);
-        assert_eq!(obs.profile_out, None);
-        assert_eq!(obs.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(obs.report_out.as_deref(), Some("r.html"));
+        ])
+        .unwrap();
+        assert_eq!(obs.log_level().unwrap(), Some(privim_obs::Level::Debug));
+        assert_eq!(obs.str("telemetry-out"), Some("run.jsonl"));
+        assert!(obs.profiling());
+        assert_eq!(obs.str("profile-out"), None);
+        assert_eq!(obs.str("metrics-out"), Some("m.prom"));
+        assert_eq!(obs.str("report-out"), Some("r.html"));
         assert_eq!(rest, vec!["train", "--graph", "g.bin"]);
         // The remaining args still parse as a normal train command.
         match parse_command(&rest).unwrap() {
-            Command::Train(a) => assert_eq!(a.graph, "g.bin"),
+            Command::Train { graph, .. } => assert_eq!(graph, "g.bin"),
             other => panic!("{other:?}"),
         }
+        // Before the subcommand too.
+        let (rest, obs) = split(&["--profile", "account", "--epsilon", "2"]).unwrap();
+        assert!(obs.profiling());
+        assert_eq!(rest, vec!["account", "--epsilon", "2"]);
     }
 
     #[test]
     fn recorder_and_chaos_kill_flags_parse() {
-        let argv: Vec<String> = [
+        let (rest, obs) = split(&[
             "train",
             "--graph",
             "g.bin",
@@ -1310,76 +1295,68 @@ mod tests {
             "dump.jsonl",
             "--chaos-kill",
             "checkpoint.write.mid:2",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let (rest, obs) = split_obs_args(&argv).unwrap();
-        assert_eq!(obs.recorder_out.as_deref(), Some("dump.jsonl"));
+        ])
+        .unwrap();
+        assert_eq!(obs.str("recorder-out"), Some("dump.jsonl"));
         assert_eq!(
-            obs.chaos_kill,
+            obs.chaos_kill().unwrap(),
             Some(("checkpoint.write.mid".to_string(), 2))
         );
         assert_eq!(rest, vec!["train", "--graph", "g.bin"]);
         for bad in ["nosite", "site:0", ":1", "site:x"] {
-            let argv: Vec<String> = ["help", "--chaos-kill", bad]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            assert!(split_obs_args(&argv).is_err(), "{bad} must be rejected");
+            assert!(
+                split(&["help", "--chaos-kill", bad]).is_err(),
+                "{bad} must be rejected"
+            );
         }
     }
 
     #[test]
     fn profile_out_implies_profile() {
-        let argv: Vec<String> = ["help", "--profile-out", "flame.txt"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, obs) = split_obs_args(&argv).unwrap();
-        assert!(obs.profile, "--profile-out must enable the profiler");
-        assert_eq!(obs.profile_out.as_deref(), Some("flame.txt"));
-        let argv: Vec<String> = ["--metrics-out"].iter().map(|s| s.to_string()).collect();
-        assert!(split_obs_args(&argv).unwrap_err().contains("--metrics-out"));
+        let (_, obs) = split(&["help", "--profile-out", "flame.txt"]).unwrap();
+        assert!(obs.profiling(), "--profile-out must enable the profiler");
+        assert_eq!(obs.str("profile-out"), Some("flame.txt"));
+        assert!(split(&["--metrics-out"])
+            .unwrap_err()
+            .contains("--metrics-out"));
     }
 
     #[test]
     fn obs_flags_default_to_absent_and_off_disables() {
-        let argv: Vec<String> = ["account", "--epsilon", "2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, obs) = split_obs_args(&argv).unwrap();
-        assert_eq!(obs, ObsArgs::default());
+        let (rest, obs) = split(&["account", "--epsilon", "2"]).unwrap();
+        assert!(GLOBAL.iter().all(|g| !obs.has(g.name)));
+        assert!(!obs.profiling());
+        assert_eq!(obs.chaos_kill().unwrap(), None);
         assert_eq!(rest.len(), 3);
-        let argv: Vec<String> = ["help", "--log-level", "off"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (_, obs) = split_obs_args(&argv).unwrap();
-        assert_eq!(obs.log_level, None);
-        assert!(obs.log_off);
-        assert_eq!(obs.effective_level(), None, "off beats PRIVIM_LOG");
-        let argv: Vec<String> = ["--log-level"].iter().map(|s| s.to_string()).collect();
-        assert!(split_obs_args(&argv).unwrap_err().contains("--log-level"));
+        let (_, obs) = split(&["help", "--log-level", "off"]).unwrap();
+        assert_eq!(obs.log_level().unwrap(), None, "off beats PRIVIM_LOG");
+        assert!(split(&["--log-level"]).unwrap_err().contains("--log-level"));
     }
 
     #[test]
     fn serve_defaults_and_overrides() {
         let cmd = parse(&["serve", "--graph", "g.bin", "--checkpoint", "m.json"]).unwrap();
         match cmd {
-            Command::Serve(a) => {
-                assert_eq!(a.checkpoint.as_deref(), Some("m.json"));
-                assert_eq!(a.follow, None);
-                assert_eq!(a.poll_ms, 1_000);
-                assert_eq!(a.addr, "127.0.0.1:7878");
-                assert_eq!(a.workers, 4);
-                assert_eq!(a.queue_depth, 64);
-                assert_eq!(a.deadline_ms, 10_000);
-                assert_eq!(a.max_trials, 100_000);
-                assert_eq!(a.spread_threads, 2);
-                assert_eq!(a.slow_ms, 1_000);
-                assert!(!a.debug_endpoints, "debug endpoints default off");
+            Command::Serve {
+                app,
+                server,
+                follow,
+                poll_ms,
+                ..
+            } => {
+                assert_eq!(app.graph, "g.bin");
+                assert_eq!(app.checkpoint, "m.json");
+                assert_eq!(follow, None);
+                assert_eq!(poll_ms, 1_000);
+                assert_eq!(server.addr, "127.0.0.1:7878");
+                assert_eq!(server.workers, 4);
+                assert_eq!(server.queue_depth, 64);
+                assert_eq!(server.deadline, Duration::from_millis(10_000));
+                assert_eq!(app.max_trials, 100_000);
+                assert_eq!(app.spread_threads, 2);
+                assert_eq!(server.slow_threshold, Duration::from_millis(1_000));
+                assert_eq!(server.max_body, 1 << 20);
+                assert!(!app.debug_endpoints, "debug endpoints default off");
             }
             other => panic!("{other:?}"),
         }
@@ -1400,11 +1377,11 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Serve(a) => {
-                assert_eq!(a.addr, "0.0.0.0:80");
-                assert_eq!(a.workers, 8);
-                assert_eq!(a.queue_depth, 128);
-                assert_eq!(a.deadline_ms, 250);
+            Command::Serve { server, .. } => {
+                assert_eq!(server.addr, "0.0.0.0:80");
+                assert_eq!(server.workers, 8);
+                assert_eq!(server.queue_depth, 128);
+                assert_eq!(server.deadline, Duration::from_millis(250));
             }
             other => panic!("{other:?}"),
         }
@@ -1417,12 +1394,15 @@ mod tests {
             "m.json",
             "--slow-ms",
             "250",
+            "--deadline-ms",
+            "0",
         ])
         .unwrap();
         match cmd {
-            Command::Serve(a) => {
-                assert!(a.debug_endpoints);
-                assert_eq!(a.slow_ms, 250);
+            Command::Serve { app, server, .. } => {
+                assert!(app.debug_endpoints);
+                assert_eq!(server.slow_threshold, Duration::from_millis(250));
+                assert_eq!(server.deadline, Duration::from_millis(1), "clamped to 1 ms");
             }
             other => panic!("{other:?}"),
         }
@@ -1449,10 +1429,15 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Serve(a) => {
-                assert_eq!(a.checkpoint, None);
-                assert_eq!(a.follow.as_deref(), Some("ckpts"));
-                assert_eq!(a.poll_ms, 200);
+            Command::Serve {
+                app,
+                follow,
+                poll_ms,
+                ..
+            } => {
+                assert_eq!(app.checkpoint, "");
+                assert_eq!(follow.as_deref(), Some("ckpts"));
+                assert_eq!(poll_ms, 200);
             }
             other => panic!("{other:?}"),
         }
@@ -1478,20 +1463,22 @@ mod tests {
     fn route_defaults_and_overrides() {
         let cmd = parse(&["route", "--backends", "127.0.0.1:1, 127.0.0.1:2"]).unwrap();
         match cmd {
-            Command::Route(a) => {
-                assert_eq!(a.backends, vec!["127.0.0.1:1", "127.0.0.1:2"]);
-                assert_eq!(a.addr, "127.0.0.1:7800");
-                assert_eq!(a.retries, 2);
-                assert_eq!(a.backoff_ms, 50);
-                assert_eq!(a.timeout_ms, 10_000);
-                assert_eq!(a.hedge_ms, None);
-                assert_eq!(a.breaker_failures, 3);
-                assert_eq!(a.breaker_cooldown_ms, 1_000);
-                assert_eq!(a.health_interval_ms, 500);
-                assert_eq!(a.probe_down_after, 2);
-                assert_eq!(a.seed, 0);
-                assert_eq!(a.workers, 4);
-                assert_eq!(a.queue_depth, 64);
+            Command::Route { router, server } => {
+                assert_eq!(router.backends, vec!["127.0.0.1:1", "127.0.0.1:2"]);
+                assert_eq!(server.addr, "127.0.0.1:7800");
+                assert_eq!(router.retries, 2);
+                assert_eq!(router.backoff, Duration::from_millis(50));
+                assert_eq!(router.timeout, Duration::from_millis(10_000));
+                assert_eq!(router.hedge_after, None);
+                assert_eq!(router.breaker_failures, 3);
+                assert_eq!(router.breaker_cooldown, Duration::from_millis(1_000));
+                assert_eq!(router.health_interval, Duration::from_millis(500));
+                assert_eq!(router.probe_down_after, 2);
+                assert_eq!(router.seed, 0);
+                assert_eq!(server.workers, 4);
+                assert_eq!(server.queue_depth, 64);
+                // 10 s × (2 retries + 2) + 50 ms × 2^2.
+                assert_eq!(server.deadline, Duration::from_millis(40_200));
             }
             other => panic!("{other:?}"),
         }
@@ -1505,13 +1492,17 @@ mod tests {
             "5",
             "--probe-down-after",
             "3",
+            "--timeout-ms",
+            "0",
         ])
         .unwrap();
         match cmd {
-            Command::Route(a) => {
-                assert_eq!(a.hedge_ms, Some(30));
-                assert_eq!(a.retries, 5);
-                assert_eq!(a.probe_down_after, 3);
+            Command::Route { router, server } => {
+                assert_eq!(router.hedge_after, Some(Duration::from_millis(30)));
+                assert_eq!(router.retries, 5);
+                assert_eq!(router.probe_down_after, 3);
+                assert_eq!(router.timeout, Duration::from_millis(1));
+                assert_eq!(server.deadline, Duration::from_millis(7 + 50 * 32));
             }
             other => panic!("{other:?}"),
         }
@@ -1537,11 +1528,11 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Chaos(a) => {
-                assert_eq!(a.listen, "127.0.0.1:0");
-                assert_eq!(a.upstream, "127.0.0.1:7878");
-                assert_eq!(a.seed, 0);
-                assert_eq!(a.fault_rate, 0.1);
+            Command::Chaos(c) => {
+                assert_eq!(c.listen, "127.0.0.1:0");
+                assert_eq!(c.upstream, "127.0.0.1:7878");
+                assert_eq!(c.seed, 0);
+                assert_eq!(c.fault_rate, 0.1);
             }
             other => panic!("{other:?}"),
         }
@@ -1563,39 +1554,37 @@ mod tests {
 
     #[test]
     fn trace_view_sources_and_filters() {
-        let cmd = parse(&["trace-view", "--spans", "router.jsonl, serve.jsonl"]).unwrap();
+        let view = |parts: &[&str]| match parse(parts).unwrap() {
+            Command::TraceView(a) => a,
+            other => panic!("{other:?}"),
+        };
         assert_eq!(
-            cmd,
-            Command::TraceView(TraceViewArgs {
+            view(&["trace-view", "--spans", "router.jsonl, serve.jsonl"]),
+            TraceViewArgs {
                 spans: vec!["router.jsonl".into(), "serve.jsonl".into()],
                 request_id: None,
                 trace: None,
                 addr: None,
-            })
+            }
         );
-        let cmd = parse(&[
-            "trace-view",
-            "--addr",
-            "127.0.0.1:7800",
-            "--request-id",
-            "req-42",
-        ])
-        .unwrap();
         assert_eq!(
-            cmd,
-            Command::TraceView(TraceViewArgs {
+            view(&[
+                "trace-view",
+                "--addr",
+                "127.0.0.1:7800",
+                "--request-id",
+                "req-42",
+            ]),
+            TraceViewArgs {
                 spans: Vec::new(),
                 request_id: Some("req-42".into()),
                 trace: None,
                 addr: Some("127.0.0.1:7800".into()),
-            })
+            }
         );
         let hex = "0123456789abcdef0123456789abcdef";
-        let cmd = parse(&["trace-view", "--spans", "a.jsonl", "--trace", hex]).unwrap();
-        match cmd {
-            Command::TraceView(a) => assert_eq!(a.trace.as_deref(), Some(hex)),
-            other => panic!("{other:?}"),
-        }
+        let a = view(&["trace-view", "--spans", "a.jsonl", "--trace", hex]);
+        assert_eq!(a.trace.as_deref(), Some(hex));
         assert!(parse(&["trace-view"]).unwrap_err().contains("--spans"));
         assert!(
             parse(&["trace-view", "--spans", "a.jsonl", "--addr", "h:1"])
@@ -1622,32 +1611,41 @@ mod tests {
 
     #[test]
     fn span_export_flag_is_split() {
-        let argv: Vec<String> = ["route", "--backends", "a:1", "--span-export", "spans.jsonl"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (rest, obs) = split_obs_args(&argv).unwrap();
-        assert_eq!(obs.span_export.as_deref(), Some("spans.jsonl"));
+        let (rest, obs) =
+            split(&["route", "--backends", "a:1", "--span-export", "spans.jsonl"]).unwrap();
+        assert_eq!(obs.str("span-export"), Some("spans.jsonl"));
         assert_eq!(rest, vec!["route", "--backends", "a:1"]);
-        let argv: Vec<String> = ["--span-export"].iter().map(|s| s.to_string()).collect();
-        assert!(split_obs_args(&argv).unwrap_err().contains("--span-export"));
+        assert!(split(&["--span-export"])
+            .unwrap_err()
+            .contains("--span-export"));
     }
 
     #[test]
     fn account_defaults() {
         let cmd = parse(&["account", "--epsilon", "2.5"]).unwrap();
         match cmd {
-            Command::Account(a) => {
-                assert_eq!(a.epsilon, 2.5);
-                assert_eq!(a.delta, 1e-5);
-                assert_eq!(a.occurrences, 4);
-                assert_eq!(a.checkpoint, None);
+            Command::Account {
+                epsilon,
+                delta,
+                iterations,
+                sampling,
+                checkpoint,
+            } => {
+                assert_eq!(epsilon, 2.5);
+                assert_eq!(delta, 1e-5);
+                assert_eq!(iterations, 60);
+                assert_eq!(sampling.batch_size, 32);
+                assert_eq!(sampling.container_size, 100);
+                assert_eq!(sampling.max_occurrences, 4);
+                assert_eq!(checkpoint, None);
             }
             other => panic!("{other:?}"),
         }
         let cmd = parse(&["account", "--epsilon", "2", "--checkpoint", "m.json"]).unwrap();
         match cmd {
-            Command::Account(a) => assert_eq!(a.checkpoint.as_deref(), Some("m.json")),
+            Command::Account { checkpoint, .. } => {
+                assert_eq!(checkpoint.as_deref(), Some("m.json"))
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -1656,15 +1654,21 @@ mod tests {
     fn audit_defaults_and_overrides() {
         let cmd = parse(&["audit", "--graph", "g.bin", "--checkpoint-dirs", "ck"]).unwrap();
         match cmd {
-            Command::Audit(a) => {
-                assert_eq!(a.graph, "g.bin");
-                assert_eq!(a.checkpoint_dirs, vec!["ck".to_string()]);
-                assert_eq!(a.attack, AuditAttack::Both);
-                assert_eq!(a.mode, AuditMode::WhiteBox);
-                assert_eq!(a.addr, None);
-                assert_eq!(a.seed, 42);
-                assert_eq!(a.low_fpr, 0.1);
-                assert_eq!(a.max_pairs, 200_000);
+            Command::Audit {
+                graph,
+                checkpoint_dirs,
+                json,
+                config,
+            } => {
+                assert_eq!(graph, "g.bin");
+                assert_eq!(checkpoint_dirs, vec!["ck".to_string()]);
+                assert_eq!(config.attack, Attack::Both);
+                assert_eq!(config.mode, Mode::WhiteBox);
+                assert_eq!(config.addr, None);
+                assert_eq!(config.seed, 42);
+                assert_eq!(json, None);
+                assert_eq!(config.low_fpr, 0.1);
+                assert_eq!(config.max_pairs, 200_000);
             }
             other => panic!("{other:?}"),
         }
@@ -1691,18 +1695,23 @@ mod tests {
         ])
         .unwrap();
         match cmd {
-            Command::Audit(a) => {
+            Command::Audit {
+                checkpoint_dirs,
+                json,
+                config,
+                ..
+            } => {
                 assert_eq!(
-                    a.checkpoint_dirs,
+                    checkpoint_dirs,
                     vec!["loose".to_string(), "tight".to_string()]
                 );
-                assert_eq!(a.attack, AuditAttack::Membership);
-                assert_eq!(a.mode, AuditMode::BlackBox);
-                assert_eq!(a.addr.as_deref(), Some("127.0.0.1:7878"));
-                assert_eq!(a.seed, 7);
-                assert_eq!(a.json.as_deref(), Some("audit.json"));
-                assert_eq!(a.low_fpr, 0.05);
-                assert_eq!(a.max_pairs, 5000);
+                assert_eq!(config.attack, Attack::Membership);
+                assert_eq!(config.mode, Mode::BlackBox);
+                assert_eq!(config.addr.as_deref(), Some("127.0.0.1:7878"));
+                assert_eq!(config.seed, 7);
+                assert_eq!(json.as_deref(), Some("audit.json"));
+                assert_eq!(config.low_fpr, 0.05);
+                assert_eq!(config.max_pairs, 5000);
             }
             other => panic!("{other:?}"),
         }
@@ -1762,5 +1771,28 @@ mod tests {
         ])
         .unwrap_err()
         .contains("--max-pairs"));
+    }
+
+    #[test]
+    fn usage_names_every_table_flag_and_no_other() {
+        let text = usage();
+        let named: std::collections::BTreeSet<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        let tables: std::collections::BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, flags)| flags.iter())
+            .chain(GLOBAL)
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(named, tables);
+        for (name, flags) in COMMANDS {
+            assert!(text.contains(&format!("privim {name}")), "{name}");
+            for f in *flags {
+                let shown = format!("--{} {}", f.name, f.hint);
+                assert!(text.contains(shown.trim_end()), "{name} {shown}");
+            }
+        }
     }
 }

@@ -18,16 +18,19 @@ mod args;
 mod monitor;
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use args::{Command, ObsArgs, USAGE};
+use args::{Command, Flags};
 use privim_core::checkpoint::{CheckpointStore, SplitProvenance, TrainCheckpoint};
 use privim_core::config::PrivImConfig;
+use privim_core::pipeline::Method;
+use privim_core::resume::ResumeOptions;
 use privim_datasets::split::NodeSplit;
-use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
+use privim_dp::rdp::{calibrate_sigma, RdpAccountant};
 use privim_graph::{io, Graph};
 use privim_im::metrics::top_k_seeds;
-use privim_im::models::DiffusionConfig;
 use privim_im::spread::influence_spread;
 use privim_nn::graph_tensors::GraphTensors;
 use privim_nn::serialize::Checkpoint;
@@ -43,22 +46,15 @@ fn main() -> ExitCode {
 }
 
 fn exec(argv: &[String]) -> ExitCode {
-    let (argv, obs) = match args::split_obs_args(argv) {
-        Ok(split) => split,
-        Err(msg) => {
-            console_err(format!("error: {msg}"));
-            return ExitCode::from(2);
-        }
-    };
-    // Span exports are tagged with the subcommand name ("route",
-    // "serve", ...) so `trace-view` can tell the tier's processes apart.
-    let process = argv.first().cloned().unwrap_or_else(|| "privim".into());
-    if let Err(msg) = init_observability(&obs, &process) {
-        console_err(format!("error: {msg}"));
-        return ExitCode::from(2);
-    }
-    let command = match args::parse_command(&argv) {
-        Ok(c) => c,
+    let parsed = args::split_obs_args(argv).and_then(|(argv, obs)| {
+        // Span exports are tagged with the subcommand name ("route",
+        // "serve", ...) so `trace-view` can tell the tier's processes apart.
+        let process = argv.first().map_or("privim", String::as_str);
+        init_observability(&obs, process)?;
+        Ok((args::parse_command(&argv)?, obs))
+    });
+    let (command, obs) = match parsed {
+        Ok(parsed) => parsed,
         Err(msg) => {
             console_err(format!("error: {msg}"));
             return ExitCode::from(2);
@@ -79,25 +75,25 @@ fn exec(argv: &[String]) -> ExitCode {
 /// the `PRIVIM_LOG` environment variable) and enables the profiler when
 /// asked. With nothing configured this installs nothing and telemetry
 /// stays at its zero-overhead default.
-fn init_observability(obs: &ObsArgs, process: &str) -> Result<(), String> {
-    if let Some(level) = obs.effective_level() {
+fn init_observability(obs: &Flags, process: &str) -> Result<(), String> {
+    if let Some(level) = obs.log_level()? {
         privim_obs::install_sink(Arc::new(privim_obs::StderrSink::new(level)));
     }
-    if let Some(path) = &obs.telemetry_out {
+    if let Some(path) = obs.str("telemetry-out") {
         let sink = privim_obs::JsonlSink::create(path)
             .map_err(|e| format!("cannot create telemetry file {path}: {e}"))?;
         privim_obs::install_sink(Arc::new(sink));
     }
-    privim_obs::set_profiling(obs.profile);
-    if let Some(path) = &obs.recorder_out {
+    privim_obs::set_profiling(obs.profiling());
+    if let Some(path) = obs.str("recorder-out") {
         privim_obs::FlightRecorder::set_dump_path(Some(path.into()));
         privim_obs::FlightRecorder::arm();
         privim_obs::FlightRecorder::install_panic_hook();
     }
-    if let Some((site, hit)) = &obs.chaos_kill {
-        privim_obs::set_fault_plan(privim_obs::FaultPlan::kill_after(site, *hit));
+    if let Some((site, hit)) = obs.chaos_kill()? {
+        privim_obs::set_fault_plan(privim_obs::FaultPlan::kill_after(&site, hit));
     }
-    if let Some(path) = &obs.span_export {
+    if let Some(path) = obs.str("span-export") {
         privim_obs::arm_span_export(process, path)
             .map_err(|e| format!("cannot create span-export file {path}: {e}"))?;
     }
@@ -108,10 +104,10 @@ fn init_observability(obs: &ObsArgs, process: &str) -> Result<(), String> {
 /// and `--report-out` once the command has finished, and under
 /// `--profile` prints the call tree to stderr. Export failures warn but
 /// never change the exit code: the run itself already succeeded.
-fn write_observability_outputs(obs: &ObsArgs) {
+fn write_observability_outputs(obs: &Flags) {
     privim_obs::flush_sinks();
     let profile = privim_obs::profile_report();
-    if obs.profile && !profile.is_empty() {
+    if obs.profiling() && !profile.is_empty() {
         eprintln!("\nprofile (total time, self time, calls):");
         eprint!("{}", profile.render_table());
     }
@@ -120,19 +116,18 @@ fn write_observability_outputs(obs: &ObsArgs) {
             console_err(format!("warning: cannot write {what} to {path}: {e}"));
         }
     };
-    if let Some(path) = &obs.profile_out {
+    if let Some(path) = obs.str("profile-out") {
         write(path, "flamegraph", profile.render_flamegraph());
     }
-    if let Some(path) = &obs.metrics_out {
+    if let Some(path) = obs.str("metrics-out") {
         let text = privim_obs::render_prometheus_with_profile(&privim_obs::snapshot(), &profile);
         write(path, "metrics", text);
     }
-    if let Some(path) = &obs.report_out {
+    if let Some(path) = obs.str("report-out") {
         // The HTML report is richest when the event stream is on disk:
         // re-parse it so phases, epochs and the privacy ledger render too.
         let telemetry = obs
-            .telemetry_out
-            .as_ref()
+            .str("telemetry-out")
             .and_then(|p| std::fs::read_to_string(p).ok())
             .and_then(|text| privim_obs::RunTelemetry::from_jsonl(&text).ok());
         let html = privim_obs::render_html_report(
@@ -148,64 +143,67 @@ fn write_observability_outputs(obs: &ObsArgs) {
 fn run(command: Command) -> Result<(), String> {
     match command {
         Command::Help => {
-            console(USAGE);
+            console(args::usage());
             Ok(())
         }
-        Command::Generate(a) => {
-            privim_obs::info!("run", "start", command = "generate", seed = a.seed);
-            let g = a.dataset.generate(a.scale, a.seed);
+        Command::Generate {
+            dataset,
+            scale,
+            seed,
+            output,
+        } => {
+            privim_obs::info!("run", "start", command = "generate", seed = seed);
+            let g = dataset.generate(scale, seed);
             let stats = privim_graph::stats::graph_stats(&g);
-            io::save_graph(&g, &a.output).map_err(|e| e.to_string())?;
+            io::save_graph(&g, &output).map_err(|e| e.to_string())?;
             console(format!(
                 "wrote {}: {} nodes, {} edges, avg degree {:.2}",
-                a.output, stats.num_nodes, stats.num_edges, stats.avg_degree
+                output, stats.num_nodes, stats.num_edges, stats.avg_degree
             ));
             Ok(())
         }
-        Command::Train(a) => {
+        Command::Train {
+            graph,
+            method,
+            seed,
+            checkpoint,
+            store,
+            mut config,
+            mut resume,
+        } => {
             privim_obs::info!(
                 "run",
                 "start",
                 command = "train",
-                seed = a.seed,
-                method = a.method.name(),
+                seed = seed,
+                method = method.name(),
             );
-            let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
-            // The split is the first draw from StdRng(a.seed); recording
+            let g = io::load_graph(&graph).map_err(|e| e.to_string())?;
+            // The split is the first draw from StdRng(seed); recording
             // (seed, fraction) in the checkpoint lets a later audit
             // reconstruct the exact train/test membership ground truth.
             let train_fraction = 0.5;
-            let mut rng = StdRng::seed_from_u64(a.seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             let split = NodeSplit::random(&g, train_fraction, &mut rng);
             let provenance = SplitProvenance {
-                split_seed: a.seed,
+                split_seed: seed,
                 train_fraction,
             };
-            let config = PrivImConfig {
-                epsilon: a.epsilon,
-                model: a.model,
-                seed_size: a.seed_size.min(g.num_nodes()),
-                iterations: a.iterations,
-                batch_size: 32,
-                hidden: 16,
-                subgraph_size: 20,
-                hops: 2,
-                learning_rate: 0.02,
-                ..PrivImConfig::default()
-            };
-            let released = if a.resume.is_some() || a.checkpoint_dir.is_some() {
-                train_crash_safe(&g, &a, &config, &split.train, provenance)?
+            config.seed_size = config.seed_size.min(g.num_nodes());
+            resume.split = Some(provenance);
+            let released = if let Some(store) = &store {
+                train_crash_safe(&g, method, seed, store, &config, &split.train, resume)?
             } else {
                 let result = privim_core::pipeline::run_method_with_candidates(
                     &g,
-                    a.method,
+                    method,
                     &config,
                     &split.train,
-                    a.seed,
+                    seed,
                 );
                 console(format!(
                     "{}: spread {:.0} over {} nodes | container {} subgraphs | sigma {}",
-                    a.method.name(),
+                    method.name(),
                     result.spread,
                     g.num_nodes(),
                     result.container_size,
@@ -221,26 +219,35 @@ fn run(command: Command) -> Result<(), String> {
             };
             // The released model: the one whose seeds were just printed,
             // with the ledger that accounts for it.
-            if let Some(path) = &a.checkpoint {
+            if let Some(path) = &checkpoint {
                 CheckpointStore::write(path.as_ref(), &released).map_err(|e| e.to_string())?;
                 console(format!("checkpoint written to {path}"));
             }
             Ok(())
         }
-        Command::Select(a) => {
-            let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
-            let cp = load_model(&a.checkpoint)?;
+        Command::Select {
+            graph,
+            checkpoint,
+            k,
+        } => {
+            let g = io::load_graph(&graph).map_err(|e| e.to_string())?;
+            let cp = load_model(&checkpoint)?;
             let model = cp.restore().map_err(|e| e.to_string())?;
             let gt = GraphTensors::with_structural_features(&g, cp.in_dim);
             let scores = model.seed_probabilities(&gt);
-            let seeds = top_k_seeds(&scores, a.seed_size);
+            let seeds = top_k_seeds(&scores, k);
             console(format!("seeds: {seeds:?}"));
             Ok(())
         }
-        Command::Evaluate(a) => {
+        Command::Evaluate {
+            graph,
+            seeds,
+            diffusion,
+            trials,
+        } => {
             privim_obs::info!("run", "start", command = "evaluate", seed = 7u64);
-            let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
-            for &s in &a.seeds {
+            let g = io::load_graph(&graph).map_err(|e| e.to_string())?;
+            for &s in &seeds {
                 if s as usize >= g.num_nodes() {
                     return Err(format!(
                         "seed {s} out of range (graph has {} nodes)",
@@ -248,43 +255,39 @@ fn run(command: Command) -> Result<(), String> {
                     ));
                 }
             }
-            let cfg = DiffusionConfig {
-                model: privim_im::models::DiffusionModel::IndependentCascade,
-                max_steps: a.steps,
-            };
             let mut rng = StdRng::seed_from_u64(7);
-            let spread = influence_spread(&g, &a.seeds, &cfg, a.trials, &mut rng);
+            let spread = influence_spread(&g, &seeds, &diffusion, trials, &mut rng);
             console(format!(
                 "influence spread of {} seeds: {spread:.1} of {} nodes ({:.1}%)",
-                a.seeds.len(),
+                seeds.len(),
                 g.num_nodes(),
                 100.0 * spread / g.num_nodes() as f64
             ));
             Ok(())
         }
-        Command::Account(a) => {
-            let config = SubsampledConfig {
-                max_occurrences: a.occurrences,
-                batch_size: a.batch,
-                container_size: a.container,
-            };
-            let sigma = calibrate_sigma(a.epsilon, a.delta, &config, a.iterations);
+        Command::Account {
+            epsilon,
+            delta,
+            iterations,
+            sampling,
+            checkpoint,
+        } => {
+            let sigma = calibrate_sigma(epsilon, delta, &sampling, iterations);
             let mut acct = RdpAccountant::default();
-            acct.compose_subsampled_gaussian(sigma, &config, a.iterations);
-            let (spent, alpha) = acct.epsilon(a.delta);
+            acct.compose_subsampled_gaussian(sigma, &sampling, iterations);
+            let (spent, alpha) = acct.epsilon(delta);
             console(format!(
-                "target (eps, delta) = ({}, {:.1e}) over T = {} iterations",
-                a.epsilon, a.delta, a.iterations
+                "target (eps, delta) = ({epsilon}, {delta:.1e}) over T = {iterations} iterations"
             ));
             console(format!("  noise multiplier sigma = {sigma:.4}"));
             console(format!(
                 "  absolute noise std (C = 1) = sigma * N_g = {:.2}",
-                sigma * a.occurrences as f64
+                sigma * sampling.max_occurrences as f64
             ));
             console(format!(
                 "  spent epsilon = {spent:.4} (optimal RDP order alpha = {alpha})"
             ));
-            if let Some(path) = &a.checkpoint {
+            if let Some(path) = &checkpoint {
                 console(format!(
                     "  checkpoint digest = {}",
                     load_model(path)?.digest_hex()
@@ -292,11 +295,22 @@ fn run(command: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Audit(a) => audit(&a),
-        Command::Serve(a) => serve(&a),
-        Command::Route(a) => route(&a),
-        Command::Chaos(a) => chaos(&a),
-        Command::Monitor(a) => monitor::run(&a),
+        Command::Audit {
+            graph,
+            checkpoint_dirs,
+            json,
+            config,
+        } => audit(&graph, &checkpoint_dirs, json.as_deref(), &config),
+        Command::Serve {
+            app,
+            server,
+            slo,
+            follow,
+            poll_ms,
+        } => serve(app, server, slo, follow.as_deref(), poll_ms),
+        Command::Route { router, server } => route(router, server),
+        Command::Chaos(config) => chaos(config),
+        Command::Monitor(source) => monitor::run(&source),
         Command::TraceView(a) => trace_view(&a),
     }
 }
@@ -308,7 +322,6 @@ fn run(command: Command) -> Result<(), String> {
 /// the replicas' `/debug/spans` endpoints).
 fn trace_view(a: &args::TraceViewArgs) -> Result<(), String> {
     if let Some(addr) = &a.addr {
-        use std::time::Duration;
         let mut path = "/debug/tier-trace".to_string();
         if let Some(id) = &a.request_id {
             path = format!("{path}?request_id={id}");
@@ -348,26 +361,15 @@ fn trace_view(a: &args::TraceViewArgs) -> Result<(), String> {
 /// directories and prints one line per attack × mode × checkpoint.
 /// `--json` additionally writes the standard bench envelope, which is
 /// byte-identical across runs with the same seed and inputs.
-fn audit(a: &args::AuditArgs) -> Result<(), String> {
-    privim_obs::info!("run", "start", command = "audit", seed = a.seed);
-    let g = io::load_graph(&a.graph).map_err(|e| e.to_string())?;
-    let cfg = privim_audit::AuditConfig {
-        attack: match a.attack {
-            args::AuditAttack::Membership => privim_audit::Attack::Membership,
-            args::AuditAttack::Topology => privim_audit::Attack::Topology,
-            args::AuditAttack::Both => privim_audit::Attack::Both,
-        },
-        mode: match a.mode {
-            args::AuditMode::WhiteBox => privim_audit::Mode::WhiteBox,
-            args::AuditMode::BlackBox => privim_audit::Mode::BlackBox,
-            args::AuditMode::Both => privim_audit::Mode::Both,
-        },
-        seed: a.seed,
-        low_fpr: a.low_fpr,
-        max_pairs: a.max_pairs,
-        addr: a.addr.clone(),
-    };
-    let rows = privim_audit::run_audit(&g, &a.checkpoint_dirs, &cfg)?;
+fn audit(
+    graph: &str,
+    checkpoint_dirs: &[String],
+    json: Option<&str>,
+    config: &privim_audit::AuditConfig,
+) -> Result<(), String> {
+    privim_obs::info!("run", "start", command = "audit", seed = config.seed);
+    let g = io::load_graph(graph).map_err(|e| e.to_string())?;
+    let rows = privim_audit::run_audit(&g, checkpoint_dirs, config)?;
     for r in &rows {
         let eps = r
             .epsilon
@@ -388,9 +390,9 @@ fn audit(a: &args::AuditArgs) -> Result<(), String> {
             metrics.join(" ")
         ));
     }
-    if let Some(path) = &a.json {
+    if let Some(path) = json {
         let counters = privim_obs::snapshot().counters;
-        let envelope = privim_audit::render_envelope(a.seed, &rows, &counters);
+        let envelope = privim_audit::render_envelope(config.seed, &rows, &counters);
         std::fs::write(path, &envelope).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     Ok(())
@@ -399,45 +401,30 @@ fn audit(a: &args::AuditArgs) -> Result<(), String> {
 /// Runs the inference server until SIGINT/SIGTERM, then drains in-flight
 /// requests and exits cleanly. Serving is post-processing of the released
 /// checkpoint, so it spends no additional privacy budget.
-fn serve(a: &args::ServeArgs) -> Result<(), String> {
-    use std::sync::atomic::Ordering;
-    use std::time::Duration;
-
-    privim_obs::info!("run", "start", command = "serve", addr = a.addr.clone());
-    let app_config = privim_serve::AppConfig {
-        graph: a.graph.clone(),
-        // In `--follow` mode checkpoints come from the store, not this
-        // path; `App::from_parts` only reads the limit fields.
-        checkpoint: a.checkpoint.clone().unwrap_or_default(),
-        max_trials: a.max_trials,
-        spread_threads: a.spread_threads,
-        debug_endpoints: a.debug_endpoints,
-    };
-    let config = privim_serve::ServerConfig {
-        addr: a.addr.clone(),
-        workers: a.workers,
-        queue_depth: a.queue_depth,
-        deadline: Duration::from_millis(a.deadline_ms.max(1)),
-        slow_threshold: Duration::from_millis(a.slow_ms.max(1)),
-        ..privim_serve::ServerConfig::default()
-    };
+fn serve(
+    app_config: privim_serve::AppConfig,
+    config: privim_serve::ServerConfig,
+    slo: privim_serve::SloConfig,
+    follow: Option<&str>,
+    poll_ms: u64,
+) -> Result<(), String> {
+    privim_obs::info!(
+        "run",
+        "start",
+        command = "serve",
+        addr = config.addr.clone()
+    );
+    let (addr, workers, queue_depth) = (config.addr.clone(), config.workers, config.queue_depth);
     // SLO tracking + alert rules before the listener opens, so the very
     // first request is counted. The p99 rule sustains a few feeds to
     // ride out cold-start latency; budget burn fires on first breach.
-    let slo_target_ms = a.slo_target_ms as f64;
-    privim_serve::slo::install(Arc::new(privim_serve::SloTracker::new(
-        privim_serve::SloConfig {
-            target_p99_ms: slo_target_ms,
-            window: a.slo_window,
-            error_budget: a.slo_error_budget,
-        },
-    )));
+    privim_serve::slo::install(Arc::new(privim_serve::SloTracker::new(slo)));
     privim_obs::watch::arm(vec![
         privim_obs::AlertRule::new(
             "slo_latency_p99",
             "serve.slo.p99_ms",
             privim_obs::RuleKind::Threshold {
-                limit: slo_target_ms,
+                limit: slo.target_p99_ms,
                 above: true,
             },
         )
@@ -455,17 +442,17 @@ fn serve(a: &args::ServeArgs) -> Result<(), String> {
     // graph load, and flips to 200 the instant the handler is installed.
     let gate = privim_serve::ReadyGate::new();
     let server = privim_serve::Server::start(config, gate.clone())
-        .map_err(|e| format!("cannot serve on {}: {e}", a.addr))?;
+        .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     let stop = privim_serve::install_shutdown_handler();
-    if let Some(dir) = &a.follow {
+    if let Some(dir) = follow {
         console(format!(
             "serving on http://{} following {dir} (poll every {}ms, {} workers); \
              SIGINT/SIGTERM to stop",
             server.local_addr(),
-            a.poll_ms,
-            a.workers,
+            poll_ms,
+            workers,
         ));
-        if let Err(e) = follow_store(dir, a.poll_ms, &app_config, &gate, stop) {
+        if let Err(e) = follow_store(dir, poll_ms, &app_config, &gate, stop) {
             server.shutdown();
             return Err(e);
         }
@@ -481,12 +468,10 @@ fn serve(a: &args::ServeArgs) -> Result<(), String> {
         console(format!(
             "serving on http://{} ({} workers, queue depth {}); SIGINT/SIGTERM to stop",
             server.local_addr(),
-            a.workers,
-            a.queue_depth
+            workers,
+            queue_depth
         ));
-        while !stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        wait_for(stop);
     }
     console("shutdown requested; draining in-flight requests");
     // Flight-recorder forensics for the shutdown itself: if a dump path
@@ -510,11 +495,8 @@ fn follow_store(
     poll_ms: u64,
     app_config: &privim_serve::AppConfig,
     gate: &privim_serve::ReadyGate,
-    stop: &std::sync::atomic::AtomicBool,
+    stop: &AtomicBool,
 ) -> Result<(), String> {
-    use std::sync::atomic::Ordering;
-    use std::time::Duration;
-
     let store = CheckpointStore::open(dir, usize::MAX)
         .map_err(|e| format!("cannot open checkpoint store {dir}: {e}"))?;
     let graph = privim_serve::load_graph(&app_config.graph)?;
@@ -599,58 +581,30 @@ fn follow_store(
 /// SIGINT/SIGTERM. The router holds no checkpoint state of its own — the
 /// health thread's digest-agreement check is what keeps a mixed-version
 /// tier from serving inconsistent answers.
-fn route(a: &args::RouteArgs) -> Result<(), String> {
-    use std::sync::atomic::Ordering;
-    use std::time::Duration;
-
+fn route(
+    router: privim_serve::RouterConfig,
+    config: privim_serve::ServerConfig,
+) -> Result<(), String> {
     privim_obs::info!(
         "run",
         "start",
         command = "route",
-        addr = a.addr.clone(),
-        backends = a.backends.len() as u64,
+        addr = config.addr.clone(),
+        backends = router.backends.len() as u64,
     );
-    let router = privim_serve::Router::new(privim_serve::RouterConfig {
-        backends: a.backends.clone(),
-        retries: a.retries,
-        backoff: Duration::from_millis(a.backoff_ms),
-        timeout: Duration::from_millis(a.timeout_ms.max(1)),
-        hedge_after: a.hedge_ms.map(Duration::from_millis),
-        breaker_failures: a.breaker_failures,
-        breaker_cooldown: Duration::from_millis(a.breaker_cooldown_ms.max(1)),
-        health_interval: Duration::from_millis(a.health_interval_ms.max(1)),
-        probe_down_after: a.probe_down_after,
-        seed: a.seed,
-    })?;
+    let backends = router.backends.join(", ");
+    let (replicas, addr) = (router.backends.len(), config.addr.clone());
+    let router = privim_serve::Router::new(router)?;
     let health = router.spawn_health_thread();
-    let config = privim_serve::ServerConfig {
-        addr: a.addr.clone(),
-        workers: a.workers,
-        queue_depth: a.queue_depth,
-        // The front-end deadline must outlive a full retry ladder:
-        // every attempt's timeout plus the exponential backoffs between.
-        deadline: Duration::from_millis(
-            a.timeout_ms
-                .max(1)
-                .saturating_mul(u64::from(a.retries) + 2)
-                .saturating_add(a.backoff_ms.saturating_mul(1u64 << a.retries.min(10))),
-        ),
-        ..privim_serve::ServerConfig::default()
-    };
     let gate = privim_serve::ReadyGate::new();
     let server = privim_serve::Server::start(config, gate.clone())
-        .map_err(|e| format!("cannot serve on {}: {e}", a.addr))?;
+        .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
     gate.install(router.clone());
     console(format!(
-        "routing http://{} over {} replica(s): {}; SIGINT/SIGTERM to stop",
+        "routing http://{} over {replicas} replica(s): {backends}; SIGINT/SIGTERM to stop",
         server.local_addr(),
-        a.backends.len(),
-        a.backends.join(", ")
     ));
-    let stop = privim_serve::install_shutdown_handler();
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for(privim_serve::install_shutdown_handler());
     console("shutdown requested; draining in-flight requests");
     router.stop_flag().store(true, Ordering::SeqCst);
     server.shutdown();
@@ -663,36 +617,25 @@ fn route(a: &args::RouteArgs) -> Result<(), String> {
 /// The fault plan is a pure function of `(seed, connection index)`, so a
 /// run against the same traffic replays the same faults — see
 /// `privim_serve::chaosproxy`.
-fn chaos(a: &args::ChaosArgs) -> Result<(), String> {
-    use std::sync::atomic::Ordering;
-    use std::time::Duration;
-
+fn chaos(c: privim_serve::ChaosConfig) -> Result<(), String> {
     privim_obs::info!(
         "run",
         "start",
         command = "chaos",
-        listen = a.listen.clone(),
-        upstream = a.upstream.clone(),
-        seed = a.seed,
+        listen = c.listen.clone(),
+        upstream = c.upstream.clone(),
+        seed = c.seed,
     );
-    let proxy = privim_serve::ChaosProxy::start(privim_serve::ChaosConfig {
-        listen: a.listen.clone(),
-        upstream: a.upstream.clone(),
-        seed: a.seed,
-        fault_rate: a.fault_rate,
-    })
-    .map_err(|e| format!("cannot start chaos proxy on {}: {e}", a.listen))?;
+    let proxy = privim_serve::ChaosProxy::start(c.clone())
+        .map_err(|e| format!("cannot start chaos proxy on {}: {e}", c.listen))?;
     console(format!(
         "chaos proxy on {} -> {} (seed {}, fault rate {}); SIGINT/SIGTERM to stop",
         proxy.local_addr(),
-        a.upstream,
-        a.seed,
-        a.fault_rate
+        c.upstream,
+        c.seed,
+        c.fault_rate
     ));
-    let stop = privim_serve::install_shutdown_handler();
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for(privim_serve::install_shutdown_handler());
     proxy.shutdown();
     console("bye");
     Ok(())
@@ -708,21 +651,18 @@ fn chaos(a: &args::ChaosArgs) -> Result<(), String> {
 /// spent.
 fn train_crash_safe(
     g: &Graph,
-    a: &args::TrainArgs,
+    method: Method,
+    seed: u64,
+    (dir, must_resume): &(String, bool),
     config: &PrivImConfig,
     candidates: &[u32],
-    provenance: SplitProvenance,
+    options: ResumeOptions,
 ) -> Result<TrainCheckpoint, String> {
     use privim_core::pipeline::{calibrate_for, extract_for};
-    use privim_core::resume::{train_resumable, ResumeOptions};
+    use privim_core::resume::train_resumable;
 
-    let (dir, must_resume) = match (&a.resume, &a.checkpoint_dir) {
-        (Some(d), _) => (d.clone(), true),
-        (None, Some(d)) => (d.clone(), false),
-        (None, None) => unreachable!("caller checked the flags"),
-    };
-    let store = CheckpointStore::open(&dir, a.keep).map_err(|e| e.to_string())?;
-    if must_resume
+    let store = CheckpointStore::open(dir, options.keep).map_err(|e| e.to_string())?;
+    if *must_resume
         && store
             .load_latest_valid()
             .map_err(|e| e.to_string())?
@@ -738,13 +678,13 @@ fn train_crash_safe(
     // the same container the original invocation trained on. The method
     // picks container, N_g and noise exactly as in the pipeline; only δ
     // differs, 1/(|V|+1) here, which keeps existing stores' σ unchanged.
-    let mut rng = StdRng::seed_from_u64(a.seed);
-    let (container, occurrence_bound) = extract_for(a.method, g, config, candidates, &mut rng);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (container, occurrence_bound) = extract_for(method, g, config, candidates, &mut rng);
     if container.is_empty() {
         return Err("extraction produced no subgraphs; lower the subgraph size".into());
     }
     let privacy = calibrate_for(
-        a.method,
+        method,
         config,
         &container,
         occurrence_bound,
@@ -754,30 +694,24 @@ fn train_crash_safe(
     // budget shows up as a `privim_alert_active{rule="epsilon_budget"}`
     // series in `--metrics-out` exports and the HTML report. The rule
     // engine consumes no RNG, so seeded runs stay bit-identical.
-    if let Some(budget) = a.epsilon_budget {
+    if let Some(budget) = options.epsilon_budget {
         privim_obs::watch::arm(vec![privim_obs::AlertRule::new(
             "epsilon_budget",
             "dp.epsilon_next",
             privim_obs::RuleKind::BurnRate {
                 budget,
-                warn_fraction: a.budget_warn_fraction,
+                warn_fraction: options.budget_warn_fraction,
             },
         )]);
     }
     let outcome = train_resumable(
-        a.method.model_kind(config.model),
+        method.model_kind(config.model),
         &container,
         config,
         privacy.as_ref(),
-        a.seed,
+        seed,
         &store,
-        ResumeOptions {
-            checkpoint_every: a.checkpoint_every,
-            keep: a.keep,
-            epsilon_budget: a.epsilon_budget,
-            budget_warn_fraction: a.budget_warn_fraction,
-            split: Some(provenance),
-        },
+        options,
     )
     .map_err(|e| e.to_string())?;
 
@@ -807,7 +741,7 @@ fn train_crash_safe(
     }
     console(format!(
         "{}: trained {} epochs over {} subgraphs | epsilon spent {}",
-        a.method.name(),
+        method.name(),
         outcome.report.losses.len(),
         container.len(),
         outcome
@@ -819,6 +753,13 @@ fn train_crash_safe(
     let seeds = top_k_seeds(&scores, config.seed_size);
     console(format!("seeds: {seeds:?}"));
     Ok(outcome.checkpoint)
+}
+
+/// Blocks until `stop` is set (by SIGINT/SIGTERM).
+fn wait_for(stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 /// The released model in the checkpoint file at `path`.

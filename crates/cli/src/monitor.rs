@@ -21,17 +21,23 @@ use privim_obs::console;
 use privim_obs::json::{parse, JsonValue};
 use privim_obs::RunTelemetry;
 
-use crate::args::MonitorArgs;
+/// Where the dashboard reads from.
+#[derive(Debug)]
+pub enum Source {
+    /// A telemetry JSONL file (`--input`).
+    File(String),
+    /// `host:port` of a running `privim serve` to poll (`--addr`).
+    Live(String),
+}
 
-pub fn run(a: &MonitorArgs) -> Result<(), String> {
-    let dashboard = match (&a.input, &a.addr) {
-        (Some(path), None) => {
+pub fn run(source: &Source) -> Result<(), String> {
+    let dashboard = match source {
+        Source::File(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read telemetry file {path}: {e}"))?;
             render_jsonl_dashboard(path, &text)
         }
-        (None, Some(addr)) => render_live_dashboard(addr)?,
-        _ => unreachable!("args parser enforces exactly one source"),
+        Source::Live(addr) => render_live_dashboard(addr)?,
     };
     console(dashboard);
     Ok(())

@@ -1,7 +1,9 @@
 //! `privim train` end to end, through the built binary: the model file
 //! `--checkpoint` writes is the model whose seeds `train` printed,
-//! `--method` applies to crash-safe runs, and the crash-safe train /
-//! resume / corrupt cycle replays to the same seeds.
+//! `--method` applies to crash-safe runs, the crash-safe train /
+//! resume / corrupt cycle replays to the same seeds, a chaos kill leaves
+//! a recorder dump naming its site, and bad flags exit 2 before any
+//! library code runs.
 
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -362,5 +364,110 @@ fn epsilon_budget_halts_alerts_and_refuses_resume() {
         spent,
         "{refused}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the CLI in `dir`; returns (exit code, stderr).
+fn exit_code(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_privim"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn privim");
+    (
+        out.status.code(),
+        String::from_utf8(out.stderr).expect("utf-8 stderr"),
+    )
+}
+
+#[test]
+fn out_of_range_values_exit_2_naming_the_flag() {
+    let dir = workdir("ranges");
+    for (args, flag) in [
+        (
+            &[
+                "generate",
+                "--dataset",
+                "email",
+                "--scale",
+                "2",
+                "--output",
+                "x.bin",
+            ][..],
+            "--scale",
+        ),
+        (
+            &["train", "--graph", "g.bin", "--epsilon", "0"],
+            "--epsilon",
+        ),
+        (
+            &["train", "--graph", "g.bin", "--epsilon", "nan"],
+            "--epsilon",
+        ),
+        (
+            &[
+                "evaluate", "--graph", "g.bin", "--seeds", "1,2", "--trials", "0", "--steps", "3",
+            ],
+            "--trials",
+        ),
+        (&["account", "--epsilon", "0"], "--epsilon"),
+        (&["account", "--epsilon", "1", "--delta", "2"], "--delta"),
+        (
+            &["account", "--epsilon", "1", "--occurrences", "0"],
+            "--occurrences",
+        ),
+        (
+            &["account", "--epsilon", "1", "--container", "0"],
+            "--container",
+        ),
+        (&["account", "--epsilon", "1", "--batch", "0"], "--batch"),
+    ] {
+        let (code, stderr) = exit_code(&dir, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_repeated_flag_exits_2() {
+    let dir = workdir("repeat");
+    let twice = with(&TRAIN, &["--seed", "2"]);
+    let (code, stderr) = exit_code(&dir, &twice);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--seed given twice"), "{stderr}");
+    let twice = with(&TRAIN, &["--profile", "--profile"]);
+    let (code, stderr) = exit_code(&dir, &twice);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--profile given twice"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaos_kill_leaves_a_dump_naming_the_site_and_the_run_resumes() {
+    let dir = workdir("chaos-kill");
+    let common = with(&TRAIN, &["--epsilon", "4", "--checkpoint-every", "1"]);
+    let killed = with(
+        &common,
+        &[
+            "--checkpoint-dir",
+            "ckpts",
+            "--recorder-out",
+            "dump.jsonl",
+            "--chaos-kill",
+            "train.post_backward:2",
+        ],
+    );
+    let (ok, _) = run(&dir, &killed);
+    assert!(!ok, "the chaos kill must end the run with a failure");
+    let dump = std::fs::read_to_string(dir.join("dump.jsonl")).expect("recorder dump written");
+    let lines: Vec<&str> = dump.lines().collect();
+    assert!(!lines.is_empty(), "the dump must not be empty");
+    assert!(lines[0].contains(r#""reason":"kill""#), "{}", lines[0]);
+    let last = lines.last().unwrap();
+    assert!(last.contains("site=train.post_backward"), "{last}");
+    let resumed = privim(&dir, &with(&common, &["--resume", "ckpts"]));
+    assert!(resumed.contains("resumed from epoch"), "{resumed}");
     std::fs::remove_dir_all(&dir).ok();
 }
