@@ -218,7 +218,7 @@ const COMMANDS: &[(&str, &[Flag])] = &[
             opt("model", "grat|gcn|gat|gin|sage|mlp", Text),
             opt("epsilon", "f", Positive),
             opt("k", "n", Text),
-            opt("iterations", "n", Text),
+            opt("iterations", "n", Count),
             opt("seed", "u", Text),
             opt("checkpoint", "<path>", Text),
             opt("checkpoint-dir", "<dir>", Text),
@@ -251,7 +251,7 @@ const COMMANDS: &[(&str, &[Flag])] = &[
         &[
             req("epsilon", "f", Positive),
             opt("delta", "f", Fraction),
-            opt("iterations", "n", Text),
+            opt("iterations", "n", Count),
             opt("batch", "n", Count),
             opt("container", "n", Count),
             opt("occurrences", "n", Count),

@@ -2,12 +2,13 @@
 //! `--checkpoint` writes is the model whose seeds `train` printed,
 //! `--method` applies to crash-safe runs, the crash-safe train /
 //! resume / corrupt cycle replays to the same seeds, a chaos kill leaves
-//! a recorder dump naming its site, and bad flags exit 2 before any
-//! library code runs.
+//! a recorder dump naming its site, SIGTERM stops `serve` with a dump
+//! and a telemetry stream that name the request, and bad flags exit 2
+//! before any library code runs.
 
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// A fresh scratch directory holding a generated 200-node Email replica
 /// as `g.bin`.
@@ -421,6 +422,22 @@ fn out_of_range_values_exit_2_naming_the_flag() {
             "--container",
         ),
         (&["account", "--epsilon", "1", "--batch", "0"], "--batch"),
+        (
+            &["account", "--epsilon", "1", "--iterations", "0"],
+            "--iterations",
+        ),
+        (
+            &[
+                "train",
+                "--graph",
+                "g.bin",
+                "--epsilon",
+                "1",
+                "--iterations",
+                "0",
+            ],
+            "--iterations",
+        ),
     ] {
         let (code, stderr) = exit_code(&dir, args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
@@ -469,5 +486,85 @@ fn chaos_kill_leaves_a_dump_naming_the_site_and_the_run_resumes() {
     assert!(last.contains("site=train.post_backward"), "{last}");
     let resumed = privim(&dir, &with(&common, &["--resume", "ckpts"]));
     assert!(resumed.contains("resumed from epoch"), "{resumed}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_on_sigterm_dumps_the_recorder_and_logs_the_request_trace() {
+    let dir = workdir("serve-sigterm");
+    let train = with(&TRAIN, &["--epsilon", "4", "--checkpoint", "m.ckpt"]);
+    privim(&dir, &train);
+    let mut server = Command::new(env!("CARGO_BIN_EXE_privim"))
+        .args([
+            "serve",
+            "--graph",
+            "g.bin",
+            "--checkpoint",
+            "m.ckpt",
+            "--addr",
+            "127.0.0.1:0",
+            "--debug-endpoints",
+            "--telemetry-out",
+            "events.jsonl",
+            "--recorder-out",
+            "dump.jsonl",
+        ])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn privim serve");
+    let mut stdout = BufReader::new(server.stdout.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stdout.read_line(&mut line).unwrap() > 0,
+            "serve exited before listening"
+        );
+        if let Some(rest) = line.strip_prefix("serving on http://") {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+
+    let rid = "cli-trace-1";
+    let trace = privim_obs::TraceContext::from_request_id(rid).trace_id_hex();
+    let mut client = privim_serve::HttpClient::connect(addr.as_str()).unwrap();
+    let resp = client
+        .post_with_headers("/v1/seeds", &[("X-Request-Id", rid)], br#"{"k": 3}"#)
+        .unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("x-request-id"), Some(rid));
+    let debug = client.get("/debug/trace").unwrap();
+    assert!(String::from_utf8_lossy(&debug.body).contains(&trace));
+    drop(client);
+
+    let pid = server.id().to_string();
+    let kill = Command::new("kill").args(["-TERM", &pid]).status().unwrap();
+    assert!(kill.success(), "kill -TERM {pid}");
+    // Drain stdout so the shutdown lines never meet a closed pipe.
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    let status = server.wait().unwrap();
+    assert_eq!(
+        status.code(),
+        Some(0),
+        "serve must exit 0 on SIGTERM: {rest}"
+    );
+
+    let dump = std::fs::read_to_string(dir.join("dump.jsonl")).expect("recorder dump written");
+    let head = dump.lines().next().expect("the dump must not be empty");
+    assert!(head.contains(r#""reason":"sigterm""#), "{head}");
+    assert!(
+        dump.contains(&trace),
+        "the dump must hold the request's trace"
+    );
+    let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("telemetry written");
+    let request = events
+        .lines()
+        .find(|l| l.contains(&format!(r#""request_id":"{rid}""#)))
+        .unwrap_or_else(|| panic!("no event carries request id {rid}:\n{events}"));
+    assert!(
+        request.contains(&format!(r#""trace_id":"{trace}""#)),
+        "{request}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

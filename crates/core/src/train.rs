@@ -607,7 +607,6 @@ pub(crate) fn run_epochs<S: EpochRng>(
         state.losses.push(stats.mean_loss);
         privim_obs::counter("train.iterations").add(1);
         privim_obs::histogram("train.loss").record(stats.mean_loss);
-        privim_obs::watch::observe("train.loss", epoch, stats.mean_loss);
         if privacy.is_some() {
             state.clip_fractions.push(stats.clip_fraction);
         }
@@ -628,7 +627,6 @@ pub(crate) fn run_epochs<S: EpochRng>(
                     let sensitivity = config.clip_bound * setup.max_occurrences as f64;
                     let (eps, alpha) =
                         ledger.record_step(setup.mechanism(), setup.sigma, sensitivity, sub);
-                    privim_obs::watch::observe("dp.epsilon_spent", epoch, eps);
                     privim_obs::info!(
                         "train",
                         "epoch",

@@ -233,13 +233,10 @@ fn jsonl_telemetry_round_trips_and_leaves_results_unchanged() {
             prof.render_table()
         );
     }
-    // FLOP counters only tick while profiling is enabled.
-    let snap = privim_obs::snapshot();
-    assert!(snap.counters.get("nn.flops.matmul").copied().unwrap_or(0) > 0);
 
     // Roofline work counters: the bit-identity assertions above ran with
     // profiling *and* work counters armed, so the hot kernels must carry
-    // exact flop/byte/item attribution in the merged call tree …
+    // exact flop/byte/item attribution in the merged call tree.
     for scope in ["nn.matmul", "train.clip_accumulate"] {
         let row = prof
             .rows
@@ -253,19 +250,6 @@ fn jsonl_telemetry_round_trips_and_leaves_results_unchanged() {
         );
         assert!(row.items > 0, "{scope} item counter empty");
     }
-    // … and the per-scope flop totals agree exactly with the metrics
-    // counter, which is fed the same values at the same sites.
-    let matmul_flops: u64 = prof
-        .rows
-        .iter()
-        .filter(|r| r.name.starts_with("nn.matmul"))
-        .map(|r| r.flops)
-        .sum();
-    assert_eq!(
-        Some(matmul_flops),
-        snap.counters.get("nn.flops.matmul").copied(),
-        "profile work counters and metrics counter diverged"
-    );
 
     // The parallel DP-SGD step does the same kernel work at any worker
     // count: the (flops, bytes, items) totals of each scope, summed over

@@ -17,7 +17,6 @@ use privim_obs::Scope;
 use crate::graph_tensors::InEdges;
 use crate::matrix::Matrix;
 use crate::par;
-use crate::profiling::add_count;
 use crate::tape::{Tape, Var};
 
 impl Tape {
@@ -37,7 +36,6 @@ impl Tape {
         assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
         assert_eq!(src.len(), coeff.len(), "coeff length mismatch");
         let prof = Scope::kernel("nn.spmm");
-        add_count("nn.edges.spmm", src.len() as u64);
         let d = self.value(h).cols();
         let rows = (src.len() * d >= par::WORK_FLOOR).then(|| self.in_edges(&src, &dst, n_out));
         let hv = self.value(h);
@@ -70,7 +68,6 @@ impl Tape {
             vec![h.0],
             Some(Box::new(move |ctx| {
                 let prof = Scope::kernel("nn.spmm.bwd");
-                add_count("nn.edges.spmm", bs.len() as u64);
                 let (n, d) = ctx.parents[0].shape();
                 let (e64, d64) = (bs.len() as u64, d as u64);
                 prof.add_work(2 * e64 * d64, e64 * (16 + 24 * d64), e64);
@@ -117,7 +114,6 @@ impl Tape {
     /// Gathers rows: `out[e] = h[idx[e]]`.
     pub fn gather_rows(&mut self, h: Var, idx: Arc<Vec<u32>>) -> Var {
         let prof = Scope::kernel("nn.gather");
-        add_count("nn.edges.gather", idx.len() as u64);
         let hv = self.value(h);
         let d = hv.cols();
         // Pure data movement: per edge an index plus a row copy in+out.
@@ -150,7 +146,6 @@ impl Tape {
     /// Scatter-add: `out[idx[e]] += v[e]`, producing `n_out` rows.
     pub fn scatter_add_rows(&mut self, v: Var, idx: Arc<Vec<u32>>, n_out: usize) -> Var {
         let prof = Scope::kernel("nn.scatter_add");
-        add_count("nn.edges.scatter_add", idx.len() as u64);
         let vv = self.value(v);
         assert_eq!(vv.rows(), idx.len(), "scatter index length mismatch");
         let d = vv.cols();
@@ -238,7 +233,6 @@ impl Tape {
         n_out: usize,
     ) -> Var {
         let _prof = Scope::kernel("nn.neighbor_survival");
-        add_count("nn.edges.neighbor_survival", src.len() as u64);
         let av = self.value(a);
         assert_eq!(av.cols(), 1, "activation must be N x 1");
         let mut out = Matrix::filled(n_out, 1, 1.0);
@@ -296,7 +290,6 @@ impl Tape {
         n_segments: usize,
     ) -> Var {
         let prof = Scope::kernel("nn.segment_softmax");
-        add_count("nn.edges.segment_softmax", segment.len() as u64);
         // Three passes over E edges: max, exp-and-sum (sub, exp, add),
         // normalize (div) — 5 flops/edge counting exp as one.
         let e64 = segment.len() as u64;
@@ -360,7 +353,6 @@ impl Tape {
     ) -> Var {
         let prof = Scope::kernel("nn.attention");
         let n_edges = src.len();
-        add_count("nn.edges.attention", n_edges as u64);
         assert_eq!(n_edges, dst.len(), "src/dst length mismatch");
         assert_eq!(n_edges, segment.len(), "segment length mismatch");
         let d = self.value(wh).cols();

@@ -46,7 +46,6 @@ pub mod models;
 pub mod optim;
 pub mod par;
 pub mod params;
-pub(crate) mod profiling;
 pub mod serialize;
 pub mod tape;
 pub mod testutil;

@@ -15,7 +15,6 @@ use privim_obs::Scope;
 
 use crate::graph_tensors::InEdges;
 use crate::matrix::Matrix;
-use crate::profiling::add_count;
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,7 +278,6 @@ impl Tape {
         let flops = (2 * m * k * n) as u64;
         // Traffic model: read A (m×k) and B (k×n) once, write C (m×n).
         let bytes = (8 * (m * k + k * n + m * n)) as u64;
-        add_count("nn.flops.matmul", flops);
         prof.add_work(flops, bytes, 1);
         let value = self.value(a).matmul(self.value(b));
         self.push(
@@ -287,7 +285,6 @@ impl Tape {
             vec![a.0, b.0],
             Some(Box::new(move |ctx| {
                 let prof = Scope::kernel("nn.matmul.bwd");
-                add_count("nn.flops.matmul", 2 * flops);
                 // Two products (dC·Bᵀ and Aᵀ·dC): 2× the forward flops;
                 // reads dC, A, B and writes dA, dB.
                 prof.add_work(2 * flops, (8 * (2 * (m * k + k * n) + m * n)) as u64, 1);

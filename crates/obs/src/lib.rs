@@ -27,6 +27,14 @@
 //! a node while profiling is on) and the **exporters**
 //! ([`render_prometheus`] text format and the [`render_html_report`]
 //! self-contained run report).
+//!
+//! Every bounded recent-history buffer is one [`Ring`], reserved at
+//! construction so a push never allocates: the [`FlightRecorder`]'s
+//! per-thread rings of the latest events (dumped on panic, injected
+//! kill or SIGTERM), the sample window of
+//! [`Histogram::with_buckets_windowed`], the `/debug/spans` ring of
+//! [`spanexport`], and the points each [`watch`] rule keeps of its
+//! metric.
 
 mod clock;
 mod event;
@@ -38,11 +46,11 @@ mod profile;
 mod prometheus;
 pub mod recorder;
 mod report_html;
+mod ring;
 mod scope;
 mod sink;
 pub mod spanexport;
 mod telemetry;
-pub mod timeseries;
 pub mod trace;
 pub mod watch;
 
@@ -65,6 +73,7 @@ pub use prometheus::{
 };
 pub use recorder::{DumpEntry, FlightRecorder};
 pub use report_html::render_html_report;
+pub use ring::Ring;
 pub use scope::{Scope, ScopeParent};
 pub use sink::{
     console, console_err, emit, enabled, flush_sinks, install_sink, take_sinks, EventSink,
@@ -76,7 +85,6 @@ pub use spanexport::{
     HopRow, SpanRecord,
 };
 pub use telemetry::{EpochRecord, LedgerRecord, PhaseTiming, RunTelemetry};
-pub use timeseries::{SeriesBoard, TimeSeries, TimeSeriesSnapshot};
 pub use trace::{current_trace, parse_trace_header, TraceContext, TRACE_HEADER};
 pub use watch::{AlertRule, AlertState, RuleKind, Watchdog};
 

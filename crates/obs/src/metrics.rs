@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::{JsonValue, ToJson};
+use crate::ring::Ring;
 
 /// A monotonically increasing integer.
 #[derive(Debug, Default)]
@@ -77,24 +78,6 @@ pub const DEFAULT_BUCKETS: [f64; 22] = [
     1e2, 5e2, 1e3, 5e3, 1e4, 5e4,
 ];
 
-/// A bounded ring of the most recent samples, backing the sliding-window
-/// quantiles. Preallocated; pushing is a slot write.
-#[derive(Debug)]
-struct SampleWindow {
-    samples: Vec<f64>,
-    next: usize,
-    filled: usize,
-}
-
-impl SampleWindow {
-    fn push(&mut self, v: f64) {
-        let capacity = self.samples.len();
-        self.samples[self.next] = v;
-        self.next = (self.next + 1) % capacity;
-        self.filled = (self.filled + 1).min(capacity);
-    }
-}
-
 /// A fixed-bucket histogram with count/sum/min/max tracking.
 ///
 /// Bucket `i` counts samples `v <= bounds[i]` (first matching bound); one
@@ -112,7 +95,8 @@ pub struct Histogram {
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
-    window: Option<Mutex<SampleWindow>>,
+    /// The most recent samples, for the sliding-window quantiles.
+    window: Option<Mutex<Ring<f64>>>,
 }
 
 impl Histogram {
@@ -143,16 +127,11 @@ impl Histogram {
     }
 
     /// A histogram that also keeps the most recent `window` samples for
-    /// exact sliding-window quantiles. The ring is preallocated here;
+    /// exact sliding-window quantiles. The ring is reserved here;
     /// recording stays allocation-free (one short uncontended lock).
     pub fn with_buckets_windowed(bounds: &[f64], window: usize) -> Self {
-        assert!(window > 0, "window capacity must be positive");
         let mut h = Histogram::with_buckets(bounds);
-        h.window = Some(Mutex::new(SampleWindow {
-            samples: vec![0.0; window],
-            next: 0,
-            filled: 0,
-        }));
+        h.window = Some(Mutex::new(Ring::with_capacity(window)));
         h
     }
 
@@ -250,10 +229,10 @@ impl Histogram {
             return f64::NAN;
         };
         let window = window.lock().unwrap_or_else(|e| e.into_inner());
-        if window.filled == 0 {
+        if window.is_empty() {
             return f64::NAN;
         }
-        let mut sorted: Vec<f64> = window.samples[..window.filled].to_vec();
+        let mut sorted: Vec<f64> = window.iter().copied().collect();
         sorted.sort_by(f64::total_cmp);
         let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
         sorted[rank - 1]
@@ -263,7 +242,7 @@ impl Histogram {
     pub fn window_len(&self) -> usize {
         self.window
             .as_ref()
-            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).filled)
+            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).len())
             .unwrap_or(0)
     }
 
@@ -271,7 +250,7 @@ impl Histogram {
     pub fn window_capacity(&self) -> Option<usize> {
         self.window
             .as_ref()
-            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).samples.len())
+            .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()).capacity())
     }
 
     /// Smallest recorded sample (infinity when empty).

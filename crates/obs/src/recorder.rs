@@ -4,15 +4,15 @@
 //! Sinks answer "what happened during the run" — but only if the run
 //! lives long enough to flush them. The recorder answers "what were the
 //! last things this process did" when it does not: each thread owns a
-//! fixed-capacity ring ([`RING_CAPACITY`] entries of [`RecEntry`],
-//! preallocated at registration) that captures every emitted event even
-//! when no sink is installed. The steady-state push is one relaxed
-//! `fetch_add` for the global sequence stamp plus an uncontended
-//! `try_lock` and a by-value slot write — no allocation: messages and a
-//! `k=v` field summary are copied into fixed inline buffers, truncated
-//! at a UTF-8 boundary. If the try_lock ever loses to a concurrent dump,
-//! the entry is dropped; the recorder is lossy by contract, and the
-//! per-ring `seq` counter makes the loss visible in the dump header.
+//! [`Ring`] of [`RING_CAPACITY`] entries, reserved at registration,
+//! that captures every emitted event even when no sink is installed.
+//! The steady-state push is one relaxed `fetch_add` for the global
+//! sequence stamp plus an uncontended `try_lock` and a by-value slot
+//! write — no allocation: messages and a `k=v` field summary are copied
+//! into fixed inline buffers, truncated at a UTF-8 boundary. If the try_lock ever loses to a concurrent dump,
+//! the entry is dropped; the recorder is lossy by contract, and each
+//! ring's push count makes the wrap-around loss visible in the dump
+//! header.
 //!
 //! Dumps — triggered by the panic hook ([`FlightRecorder::install_panic_hook`]),
 //! by fault-injection kill sites ([`record_kill_site`]), or by the
@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex, Once};
 use crate::event::Event;
 use crate::json::{object, JsonValue, ToJson};
 use crate::level::Level;
+use crate::ring::Ring;
 
 /// Entries each thread's ring retains (the newest ones win).
 pub const RING_CAPACITY: usize = 256;
@@ -113,56 +114,29 @@ impl std::fmt::Write for FixedWriter<'_> {
     }
 }
 
-/// One thread's ring. `entries` is allocated once at registration and
-/// then only overwritten in place.
-struct Ring {
+/// One thread's ring, reserved at registration.
+struct ThreadRing {
     thread: String,
-    /// Total entries ever pushed (so `seq - len` = entries overwritten).
-    pushed: u64,
-    next: usize,
-    filled: usize,
-    entries: Vec<RecEntry>,
-}
-
-impl Ring {
-    fn push(&mut self, entry: RecEntry) {
-        self.entries[self.next] = entry;
-        self.next = (self.next + 1) % RING_CAPACITY;
-        self.filled = (self.filled + 1).min(RING_CAPACITY);
-        self.pushed += 1;
-    }
-
-    /// Entries oldest-first.
-    fn iter_ordered(&self) -> impl Iterator<Item = &RecEntry> {
-        let start = if self.filled < RING_CAPACITY {
-            0
-        } else {
-            self.next
-        };
-        (0..self.filled).map(move |i| &self.entries[(start + i) % RING_CAPACITY])
-    }
+    entries: Ring<RecEntry>,
 }
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
 static GLOBAL_SEQ: AtomicU64 = AtomicU64::new(1);
-static RINGS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
+static RINGS: Mutex<Vec<Arc<Mutex<ThreadRing>>>> = Mutex::new(Vec::new());
 static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 thread_local! {
-    static LOCAL_RING: Arc<Mutex<Ring>> = register_ring();
+    static LOCAL_RING: Arc<Mutex<ThreadRing>> = register_ring();
 }
 
-fn register_ring() -> Arc<Mutex<Ring>> {
+fn register_ring() -> Arc<Mutex<ThreadRing>> {
     let thread = std::thread::current()
         .name()
         .map(str::to_string)
         .unwrap_or_else(|| format!("thread-{:?}", std::thread::current().id()));
-    let ring = Arc::new(Mutex::new(Ring {
+    let ring = Arc::new(Mutex::new(ThreadRing {
         thread,
-        pushed: 0,
-        next: 0,
-        filled: 0,
-        entries: vec![RecEntry::blank(); RING_CAPACITY],
+        entries: Ring::with_capacity(RING_CAPACITY),
     }));
     RINGS
         .lock()
@@ -211,7 +185,7 @@ fn push_local(entry: RecEntry) {
         // A dump in progress holds the lock; losing this entry is the
         // documented trade for never blocking the instrumented thread.
         if let Ok(mut ring) = ring.try_lock() {
-            ring.push(entry);
+            ring.entries.push(entry);
         }
     });
 }
@@ -304,9 +278,7 @@ impl FlightRecorder {
     pub fn reset() {
         for ring in RINGS.lock().unwrap_or_else(|e| e.into_inner()).iter() {
             let mut ring = ring.lock().unwrap_or_else(|e| e.into_inner());
-            ring.next = 0;
-            ring.filled = 0;
-            ring.pushed = 0;
+            ring.entries.clear();
         }
     }
 
@@ -334,7 +306,7 @@ impl FlightRecorder {
         let mut out = Vec::new();
         for ring in rings.iter() {
             let ring = ring.lock().unwrap_or_else(|e| e.into_inner());
-            for entry in ring.iter_ordered() {
+            for entry in ring.entries.iter() {
                 out.push(DumpEntry {
                     seq: entry.seq,
                     ts_micros: entry.ts_micros,
@@ -361,7 +333,7 @@ impl FlightRecorder {
             .iter()
             .map(|r| {
                 let r = r.lock().unwrap_or_else(|e| e.into_inner());
-                r.pushed - r.filled as u64
+                r.entries.pushed() - r.entries.len() as u64
             })
             .sum()
     }

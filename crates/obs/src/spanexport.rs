@@ -20,12 +20,13 @@
 //! layer ([`crate::json`]) carries numbers as `f64`, which cannot
 //! round-trip a 64-bit span id exactly.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::json::{self, object, JsonValue, ToJson};
+use crate::ring::Ring;
 use crate::trace::TraceContext;
 
 /// Cap on the in-memory ring: old spans are dropped once a process has
@@ -126,7 +127,7 @@ impl SpanRecord {
 struct ExportState {
     process: String,
     file: Option<std::fs::File>,
-    ring: Option<VecDeque<SpanRecord>>,
+    ring: Option<Ring<SpanRecord>>,
 }
 
 static EXPORT: Mutex<Option<ExportState>> = Mutex::new(None);
@@ -157,7 +158,7 @@ pub fn arm_span_export(process: &str, path: &str) -> std::io::Result<()> {
 /// sink armed earlier keeps running.
 pub fn arm_span_ring(process: &str) {
     arm(process, |s| {
-        s.ring.get_or_insert_with(VecDeque::new);
+        s.ring.get_or_insert_with(|| Ring::with_capacity(RING_CAP));
     });
 }
 
@@ -230,10 +231,7 @@ pub(crate) fn export_span(mut record: SpanRecord) {
             let _ = file.flush();
         }
         if let Some(ring) = state.ring.as_mut() {
-            if ring.len() >= RING_CAP {
-                ring.pop_front();
-            }
-            ring.push_back(record);
+            ring.push(record);
         }
     });
 }

@@ -1,13 +1,16 @@
-//! The watchdog: declarative alert rules over live time-series.
+//! The watchdog: declarative alert rules over live observations.
 //!
-//! A [`Watchdog`] owns a [`SeriesBoard`] and a set of [`AlertRule`]s.
-//! Instrumented sites feed it `(metric, tick, value)` observations —
-//! epoch numbers during training, request counts while serving — and
-//! every observation deterministically re-evaluates the rules watching
-//! that metric. Rule transitions are structured obs events (stamped
-//! with the active trace like any other event), and the current
-//! rule states are exported as `privim_alert_active{rule=…}` Prometheus
-//! series and an Alerts section in the HTML report.
+//! A [`Watchdog`] holds a set of [`AlertRule`]s. Instrumented sites feed
+//! it `(metric, tick, value)` observations — epoch numbers during
+//! training, request counts while serving — and every observation
+//! deterministically re-evaluates the rules watching that metric; an
+//! observation of a metric no rule watches is dropped. Each rule keeps
+//! its metric's last [`WATCH_SERIES_CAPACITY`] points in a [`Ring`], the
+//! window a [`RuleKind::BurnRate`] rule takes its burn rate over. Rule
+//! transitions are structured obs events (stamped with the active trace
+//! like any other event), and the current rule states are exported as
+//! `privim_alert_active{rule=…}` Prometheus series and an Alerts
+//! section in the HTML report.
 //!
 //! The process-global instance follows the profiler's arming contract:
 //! when disarmed, [`observe`] is one relaxed atomic load and an
@@ -19,9 +22,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::timeseries::{SeriesBoard, TimeSeries, TimeSeriesSnapshot};
+use crate::ring::Ring;
 
-/// Capacity of each watchdog series ring.
+/// Points each rule keeps of its metric.
 pub const WATCH_SERIES_CAPACITY: usize = 256;
 
 /// What makes a rule breach.
@@ -31,13 +34,10 @@ pub enum RuleKind {
     /// (`above = true` → breach when `value > limit`, else when
     /// `value < limit`).
     Threshold { limit: f64, above: bool },
-    /// Breaches when the observed value deviates from the series'
-    /// EWMA (as it stood *before* this observation) by more than
-    /// `tolerance`, relative to the EWMA's magnitude.
-    Drift { tolerance: f64 },
     /// Budget burn for a cumulative signal: breaches once the value
     /// reaches `warn_fraction · budget`; the alert detail carries the
-    /// projected ticks-to-exhaustion from the windowed burn rate.
+    /// projected ticks-to-exhaustion from the burn rate between the
+    /// oldest and newest retained points.
     BurnRate { budget: f64, warn_fraction: f64 },
 }
 
@@ -47,7 +47,7 @@ pub enum RuleKind {
 pub struct AlertRule {
     /// Unique rule name (the `rule` label in exports).
     pub name: String,
-    /// Series the rule watches.
+    /// Metric the rule watches.
     pub metric: String,
     /// Breach condition.
     pub kind: RuleKind,
@@ -95,6 +95,8 @@ pub struct AlertState {
 
 struct RuleSlot {
     rule: AlertRule,
+    /// The watched metric's recent `(tick, value)` points.
+    points: Ring<(u64, f64)>,
     breaching: u32,
     active: bool,
     value: f64,
@@ -102,15 +104,14 @@ struct RuleSlot {
     detail: String,
 }
 
-/// Rules plus the series they watch. Most callers use the process
-/// global ([`arm`]/[`observe`]); tests can own one directly.
+/// Rules plus the recent points they watch. Most callers use the
+/// process global ([`arm`]/[`observe`]); tests can own one directly.
 pub struct Watchdog {
-    board: SeriesBoard,
     slots: Vec<RuleSlot>,
 }
 
 impl Watchdog {
-    /// A watchdog evaluating `rules` over fresh series rings.
+    /// A watchdog evaluating `rules`, each over a fresh ring.
     pub fn new(rules: Vec<AlertRule>) -> Watchdog {
         let mut seen: Vec<&str> = Vec::new();
         for r in &rules {
@@ -122,11 +123,11 @@ impl Watchdog {
             seen.push(&r.name);
         }
         Watchdog {
-            board: SeriesBoard::new(WATCH_SERIES_CAPACITY),
             slots: rules
                 .into_iter()
                 .map(|rule| RuleSlot {
                     rule,
+                    points: Ring::with_capacity(WATCH_SERIES_CAPACITY),
                     breaching: 0,
                     active: false,
                     value: f64::NAN,
@@ -139,18 +140,16 @@ impl Watchdog {
 
     /// Feeds one observation and re-evaluates every rule watching
     /// `metric`. Returns the number of rule transitions (activations +
-    /// resolutions) it caused.
+    /// resolutions) it caused. A non-finite value, or a metric no rule
+    /// watches, is dropped.
     pub fn observe(&mut self, metric: &str, tick: u64, value: f64) -> usize {
         if !value.is_finite() {
             return 0;
         }
-        // Drift compares against the EWMA as of *before* this point.
-        let prior_ewma = self.board.with_series(metric, |s| s.ewma()).flatten();
-        self.board.observe(metric, tick, value);
         let mut transitions = 0;
         for slot in self.slots.iter_mut().filter(|s| s.rule.metric == metric) {
-            let (breach, detail) =
-                evaluate(&slot.rule.kind, &self.board, metric, value, prior_ewma);
+            slot.points.push((tick, value));
+            let (breach, detail) = evaluate(&slot.rule.kind, &slot.points, value);
             slot.value = value;
             slot.breaching = if breach { slot.breaching + 1 } else { 0 };
             let fire = slot.breaching >= slot.rule.sustain;
@@ -203,20 +202,9 @@ impl Watchdog {
         out.sort_by(|a, b| a.rule.cmp(&b.rule));
         out
     }
-
-    /// Snapshot of every watched series, sorted by name.
-    pub fn series(&self) -> Vec<(String, TimeSeriesSnapshot)> {
-        self.board.snapshot()
-    }
 }
 
-fn evaluate(
-    kind: &RuleKind,
-    board: &SeriesBoard,
-    metric: &str,
-    value: f64,
-    prior_ewma: Option<f64>,
-) -> (bool, String) {
+fn evaluate(kind: &RuleKind, points: &Ring<(u64, f64)>, value: f64) -> (bool, String) {
     match kind {
         RuleKind::Threshold { limit, above } => {
             let breach = if *above {
@@ -227,28 +215,18 @@ fn evaluate(
             let dir = if *above { ">" } else { "<" };
             (breach, format!("value {value:.6} {dir} limit {limit:.6}"))
         }
-        RuleKind::Drift { tolerance } => match prior_ewma {
-            Some(ewma) => {
-                let scale = ewma.abs().max(1e-12);
-                let drift = (value - ewma).abs() / scale;
-                (
-                    drift > *tolerance,
-                    format!("drift {drift:.6} vs ewma {ewma:.6} (tolerance {tolerance:.6})"),
-                )
-            }
-            None => (false, String::new()),
-        },
         RuleKind::BurnRate {
             budget,
             warn_fraction,
         } => {
             let breach = value >= warn_fraction * budget;
             let left = (budget - value).max(0.0);
-            let ticks_left = board
-                .with_series(metric, |s: &TimeSeries| s.rate(WATCH_SERIES_CAPACITY))
-                .flatten()
-                .filter(|r| *r > 0.0)
-                .map(|r| left / r);
+            // Δvalue/Δtick from the oldest to the newest point.
+            let rate = match (points.iter().next(), points.iter().next_back()) {
+                (Some(&(t0, v0)), Some(&(t1, v1))) if t1 > t0 => Some((v1 - v0) / (t1 - t0) as f64),
+                _ => None,
+            };
+            let ticks_left = rate.filter(|r| *r > 0.0).map(|r| left / r);
             let projection = match ticks_left {
                 Some(t) => format!("projected exhaustion in {t:.1} ticks"),
                 None => "burn rate unknown".to_string(),
@@ -355,22 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn drift_rule_compares_against_prior_ewma() {
-        let mut dog = Watchdog::new(vec![AlertRule::new(
-            "loss_drift",
-            "loss",
-            RuleKind::Drift { tolerance: 0.5 },
-        )]);
-        // First point: no prior EWMA, cannot drift.
-        assert_eq!(dog.observe("loss", 0, 1.0), 0);
-        // Within 50% of EWMA(=1.0): fine.
-        assert_eq!(dog.observe("loss", 1, 1.3), 0);
-        // Far beyond the smoothed level: fires.
-        assert_eq!(dog.observe("loss", 2, 5.0), 1);
-        assert!(dog.alert_states()[0].active);
-    }
-
-    #[test]
     fn burn_rate_rule_projects_exhaustion() {
         let mut dog = Watchdog::new(vec![AlertRule::new(
             "eps_budget",
@@ -419,15 +381,70 @@ mod tests {
             vec![("a".to_string(), true), ("b".to_string(), false)]
         );
         assert_eq!(dog.observe("unwatched", 0, 99.0), 0);
-        assert_eq!(dog.series().len(), 2, "unmatched metrics are still kept");
+        let kept: Vec<usize> = dog.slots.iter().map(|s| s.points.len()).collect();
+        assert_eq!(kept, vec![1, 0], "an unwatched metric stores nothing");
+    }
+
+    fn eps_budget() -> Watchdog {
+        Watchdog::new(vec![AlertRule::new(
+            "eps_budget",
+            "dp.epsilon",
+            RuleKind::BurnRate {
+                budget: 4.0,
+                warn_fraction: 0.5,
+            },
+        )])
+    }
+
+    #[test]
+    fn a_non_finite_observation_leaves_the_burn_rate_window_unchanged() {
+        let mut dog = eps_budget();
+        assert_eq!(dog.observe("dp.epsilon", 0, f64::NAN), 0);
+        dog.observe("dp.epsilon", 1, 1.0);
+        assert_eq!(dog.observe("dp.epsilon", 2, f64::INFINITY), 0);
+        assert_eq!(
+            dog.slots[0].points.iter().copied().collect::<Vec<_>>(),
+            vec![(1, 1.0)]
+        );
+        dog.observe("dp.epsilon", 3, 2.1);
+        let a = &dog.alert_states()[0];
+        assert!(
+            a.detail.contains("projected exhaustion in 3.5 ticks"),
+            "{}",
+            a.detail
+        );
+    }
+
+    #[test]
+    fn two_points_on_one_tick_leave_the_burn_rate_unknown() {
+        let mut dog = eps_budget();
+        dog.observe("dp.epsilon", 5, 2.0);
+        dog.observe("dp.epsilon", 5, 2.5);
+        let a = &dog.alert_states()[0];
+        assert!(a.active);
+        assert!(a.detail.ends_with("; burn rate unknown"), "{}", a.detail);
     }
 
     #[test]
     #[should_panic(expected = "duplicate alert rule name")]
     fn duplicate_rule_names_are_rejected() {
         Watchdog::new(vec![
-            AlertRule::new("dup", "x", RuleKind::Drift { tolerance: 1.0 }),
-            AlertRule::new("dup", "y", RuleKind::Drift { tolerance: 1.0 }),
+            AlertRule::new(
+                "dup",
+                "x",
+                RuleKind::Threshold {
+                    limit: 1.0,
+                    above: true,
+                },
+            ),
+            AlertRule::new(
+                "dup",
+                "y",
+                RuleKind::Threshold {
+                    limit: 1.0,
+                    above: true,
+                },
+            ),
         ]);
     }
 }

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use privim_obs::{Histogram, DEFAULT_BUCKETS};
+use privim_obs::{Histogram, Ring, DEFAULT_BUCKETS};
 
 /// Requests between watchdog feeds (power of two for a cheap mask).
 pub const WATCH_FEED_EVERY: u64 = 32;
@@ -50,30 +50,13 @@ const OUTCOME_OK: u8 = 0;
 const OUTCOME_ERROR: u8 = 1;
 const OUTCOME_SHED: u8 = 2;
 
-struct OutcomeRing {
-    codes: Vec<u8>,
-    next: usize,
-    filled: usize,
-}
-
-impl OutcomeRing {
-    fn push(&mut self, code: u8) {
-        if self.codes.len() < self.codes.capacity() {
-            self.codes.push(code);
-        } else {
-            self.codes[self.next] = code;
-        }
-        self.next = (self.next + 1) % self.codes.capacity();
-        self.filled = (self.filled + 1).min(self.codes.capacity());
+/// Fraction of the window's outcomes equal to `code` (0 when empty).
+fn rate_of(outcomes: &Ring<u8>, code: u8) -> f64 {
+    if outcomes.is_empty() {
+        return 0.0;
     }
-
-    fn rate_of(&self, code: u8) -> f64 {
-        if self.filled == 0 {
-            return 0.0;
-        }
-        let hits = self.codes.iter().filter(|&&c| c == code).count();
-        hits as f64 / self.filled as f64
-    }
+    let hits = outcomes.iter().filter(|&&c| c == code).count();
+    hits as f64 / outcomes.len() as f64
 }
 
 /// Point-in-time view of the SLO state (all windowed values).
@@ -106,7 +89,7 @@ pub struct SloSnapshot {
 pub struct SloTracker {
     config: SloConfig,
     latency: Histogram,
-    outcomes: Mutex<OutcomeRing>,
+    outcomes: Mutex<Ring<u8>>,
     total: AtomicU64,
 }
 
@@ -122,11 +105,7 @@ impl SloTracker {
         SloTracker {
             config,
             latency: Histogram::with_buckets_windowed(&DEFAULT_BUCKETS, config.window),
-            outcomes: Mutex::new(OutcomeRing {
-                codes: Vec::with_capacity(config.window),
-                next: 0,
-                filled: 0,
-            }),
+            outcomes: Mutex::new(Ring::with_capacity(config.window)),
             total: AtomicU64::new(0),
         }
     }
@@ -175,15 +154,15 @@ impl SloTracker {
 
     /// The current windowed snapshot.
     pub fn snapshot(&self) -> SloSnapshot {
-        let (error_rate, shed_rate, filled) = {
+        let (error_rate, shed_rate, windowed) = {
             let ring = self
                 .outcomes
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             (
-                ring.rate_of(OUTCOME_ERROR),
-                ring.rate_of(OUTCOME_SHED),
-                ring.filled,
+                rate_of(&ring, OUTCOME_ERROR),
+                rate_of(&ring, OUTCOME_SHED),
+                ring.len(),
             )
         };
         let p99_ms = self.latency.window_quantile(0.99) * 1e3;
@@ -192,7 +171,7 @@ impl SloTracker {
             target_p99_ms: self.config.target_p99_ms,
             window: self.config.window,
             error_budget: self.config.error_budget,
-            requests_windowed: filled,
+            requests_windowed: windowed,
             p99_ms,
             p999_ms,
             error_rate,
