@@ -676,20 +676,13 @@ fn train_crash_safe(
 
     // Extraction is deterministic in (graph, seed), so every resume sees
     // the same container the original invocation trained on. The method
-    // picks container, N_g and noise exactly as in the pipeline; only δ
-    // differs, 1/(|V|+1) here, which keeps existing stores' σ unchanged.
+    // picks container, N_g and σ exactly as in the pipeline.
     let mut rng = StdRng::seed_from_u64(seed);
     let (container, occurrence_bound) = extract_for(method, g, config, candidates, &mut rng);
     if container.is_empty() {
         return Err("extraction produced no subgraphs; lower the subgraph size".into());
     }
-    let privacy = calibrate_for(
-        method,
-        config,
-        &container,
-        occurrence_bound,
-        config.effective_delta(g.num_nodes()),
-    );
+    let privacy = calibrate_for(method, config, &container, occurrence_bound, candidates);
     // Arm the watchdog over the guard's projected-spend feed so the
     // budget shows up as a `privim_alert_active{rule="epsilon_budget"}`
     // series in `--metrics-out` exports and the HTML report. The rule

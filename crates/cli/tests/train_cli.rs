@@ -1,6 +1,8 @@
 //! `privim train` end to end, through the built binary: the model file
-//! `--checkpoint` writes is the model whose seeds `train` printed,
-//! `--method` applies to crash-safe runs, the crash-safe train /
+//! `--checkpoint` writes is the model whose seeds `train` printed, with
+//! the same δ and σ from a plain and a crash-safe run, a ledger under
+//! another mechanism code is refused, `--method` applies to crash-safe
+//! runs, the crash-safe train /
 //! resume / corrupt cycle replays to the same seeds, a chaos kill leaves
 //! a recorder dump naming its site, SIGTERM stops `serve` with a dump
 //! and a telemetry stream that name the request, and bad flags exit 2
@@ -9,6 +11,8 @@
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+
+use privim_core::checkpoint::{crc32, CheckpointStore};
 
 /// A fresh scratch directory holding a generated 200-node Email replica
 /// as `g.bin`.
@@ -96,6 +100,36 @@ fn checkpoint_file_is_the_model_train_reported() {
             "select on {file} must reproduce the seeds train printed"
         );
     }
+    // Both paths calibrate one way: the same δ over the training split,
+    // hence the same σ, on every ledger entry of either file.
+    let mechanism = |file: &str| {
+        let ckpt = CheckpointStore::load(&dir.join(file)).expect("load released model");
+        let ledger = ckpt.ledger.expect("a private run releases its ledger");
+        let steps: Vec<_> = ledger
+            .entries()
+            .iter()
+            .map(|e| (e.delta, e.sigma))
+            .collect();
+        assert_eq!(steps.len(), 6, "{file}");
+        steps
+    };
+    assert_eq!(mechanism("plain.json"), mechanism("safe.json"));
+
+    // A ledger entry carrying another mechanism code (older builds wrote
+    // 1 for HP's Laplace-mixture noise) is refused with the code named.
+    let mut file = std::fs::read(dir.join("plain.json")).unwrap();
+    let ledger = file.windows(4).position(|w| w == b"PVLG").unwrap();
+    let orders = u64::from_le_bytes(file[ledger + 8..ledger + 16].try_into().unwrap());
+    // magic, version, order count, α and γ grids, δ, entry count, step.
+    file[ledger + 16 + 16 * orders as usize + 24] = 1;
+    // Re-seal the header's payload CRC so only the ledger check can fail.
+    let crc = crc32(&file[20..]);
+    file[16..20].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(dir.join("sml.ckpt"), &file).unwrap();
+    let (ok, stderr) = run_err(&dir, &with(&select, &["sml.ckpt"]));
+    assert!(!ok, "select must refuse the file");
+    assert!(stderr.contains("mechanism code 1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

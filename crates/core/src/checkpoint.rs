@@ -686,12 +686,7 @@ pub(crate) mod tests {
             container_size: 64,
         };
         for _ in 0..3 {
-            ledger.record_step(
-                privim_dp::ledger::MechanismKind::SubsampledGaussian,
-                2.0,
-                4.0,
-                &sub,
-            );
+            ledger.record_step(2.0, 4.0, &sub);
         }
         TrainCheckpoint {
             epoch,
@@ -734,7 +729,12 @@ pub(crate) mod tests {
         let l1 = ckpt.ledger.as_ref().unwrap();
         let l2 = decoded.ledger.as_ref().unwrap();
         assert_eq!(l1.entries(), l2.entries());
-        for (a, b) in l1.gammas().iter().zip(l2.gammas()) {
+        for (a, b) in l1
+            .accountant()
+            .gammas()
+            .iter()
+            .zip(l2.accountant().gammas())
+        {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(decoded.losses, ckpt.losses);
@@ -762,6 +762,33 @@ pub(crate) mod tests {
         // byte — both must fail.
         assert!(TrainCheckpoint::from_bytes_versioned(v2, 3).is_err());
         assert!(TrainCheckpoint::from_bytes_versioned(&v3, 2).is_err());
+    }
+
+    #[test]
+    fn ledger_with_another_mechanism_code_is_a_typed_error() {
+        // Older builds wrote code 1 for HP's Laplace-mixture noise, which
+        // the Gaussian accountant cannot carry; such a file must not load.
+        let store = tmp_store("mechanism-code", 3);
+        let mut payload = sample_checkpoint(4).to_bytes();
+        let ledger = payload.windows(4).position(|w| w == b"PVLG").unwrap();
+        let orders = u64::from_le_bytes(payload[ledger + 8..ledger + 16].try_into().unwrap());
+        // magic, version, order count, α and γ grids, δ, entry count, step.
+        payload[ledger + 16 + 16 * orders as usize + 24] = 1;
+        let mut file = Vec::new();
+        file.extend_from_slice(CKPT_MAGIC);
+        file.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        file.extend_from_slice(&crc32(&payload).to_le_bytes());
+        file.extend_from_slice(&payload);
+        let path = store.dir().join("gen-000004.ckpt");
+        std::fs::write(&path, &file).unwrap();
+        match CheckpointStore::load(&path) {
+            Err(CheckpointError::Corrupt(msg)) => {
+                assert!(msg.contains("mechanism code 1"), "{msg}")
+            }
+            other => panic!("expected a corrupt-ledger error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]

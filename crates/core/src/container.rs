@@ -98,24 +98,6 @@ impl SubgraphContainer {
         }
         counts.into_iter().max().unwrap_or(0)
     }
-
-    /// The maximum number of subgraphs any single *edge* (adjacent node
-    /// pair) of the parent graph appears in — the empirical pair
-    /// co-occurrence bound used by edge-level DP accounting
-    /// (`AdjacencyLevel::Edge`). Always at most
-    /// [`SubgraphContainer::observed_max_occurrence`].
-    pub fn observed_max_edge_occurrence(&self) -> usize {
-        use std::collections::HashMap;
-        let mut counts: HashMap<(NodeId, NodeId), usize> = HashMap::new();
-        for s in &self.samples {
-            for (local_v, local_u, _) in s.graph.edges() {
-                let a = s.original[local_v as usize];
-                let b = s.original[local_u as usize];
-                *counts.entry((a, b)).or_insert(0) += 1;
-            }
-        }
-        counts.into_values().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -172,21 +154,15 @@ mod tests {
         let c = SubgraphContainer::new();
         assert!(c.is_empty());
         assert_eq!(c.observed_max_occurrence(10), 0);
-        assert_eq!(c.observed_max_edge_occurrence(), 0);
     }
 
     #[test]
-    fn edge_occurrence_never_exceeds_node_occurrence() {
+    fn observed_occurrence_counts_the_busiest_node() {
         let g = parent();
         let mut c = SubgraphContainer::new();
         c.push(SubgraphSample::extract(&g, vec![0, 1, 2], 2));
         c.push(SubgraphSample::extract(&g, vec![1, 2, 3], 2));
         c.push(SubgraphSample::extract(&g, vec![2, 4], 2));
-        let node = c.observed_max_occurrence(6);
-        let edge = c.observed_max_edge_occurrence();
-        assert!(edge <= node, "edge {edge} > node {node}");
-        // Edge 1->2 appears in the first two subgraphs.
-        assert_eq!(edge, 2);
-        assert_eq!(node, 3); // node 2 in all three
+        assert_eq!(c.observed_max_occurrence(6), 3); // node 2 in all three
     }
 }

@@ -7,8 +7,8 @@
 //! - [`sampling`] — Algorithm 1 (naive θ-bounded RWR) and Algorithm 3
 //!   (dual-stage adaptive frequency sampling: SCS + BES).
 //! - [`loss`] — the Eq. 5 probabilistic penalty loss.
-//! - [`train`] — Algorithm 2 DP-SGD with per-subgraph clipping, Gaussian or
-//!   SML noise, and σ calibration via the Theorem 3 accountant; its one
+//! - [`train`](mod@train) — Algorithm 2 DP-SGD with per-subgraph clipping,
+//!   Gaussian noise, and σ calibration via the Theorem 3 accountant; its one
 //!   epoch loop serves both training entry points.
 //! - [`indicator`] — the Gamma-pdf parameter-selection indicator
 //!   (Eqs. 10–12, Appendix H fitting).

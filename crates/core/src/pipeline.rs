@@ -15,8 +15,9 @@
 //!   DP-SGD; its occurrence bound must be taken from the observed
 //!   container (there is no structural bound), which is what makes its
 //!   noise excessive.
-//! - **HP / HP-GRAT** — HeterPoisson-style ego-subgraphs with Symmetric
-//!   Multivariate Laplace noise; HP uses GCN, HP-GRAT uses GRAT.
+//! - **HP / HP-GRAT** — HeterPoisson-style ego-subgraphs with Gaussian
+//!   noise (the paper's HP injects Symmetric Multivariate Laplace noise,
+//!   which Theorem 3 cannot account); HP uses GCN, HP-GRAT uses GRAT.
 //! - **NonPrivate** — PrivIM* with `ε = ∞` (no clipping, no noise).
 
 use privim_graph::{Graph, NodeId};
@@ -162,9 +163,8 @@ pub fn run_method_with_candidates(
     privim_obs::gauge("pipeline.container_size").set(container.len() as f64);
 
     // --- Phase 2: privacy calibration ------------------------------------
-    let delta = config.effective_delta(candidates.len());
     let calibration_span = privim_obs::Scope::span("calibration");
-    let privacy = calibrate_for(method, config, &container, occurrence_bound, delta);
+    let privacy = calibrate_for(method, config, &container, occurrence_bound, candidates);
     calibration_span.finish();
 
     // --- Phase 3: DP-GNN training -----------------------------------------
@@ -289,30 +289,27 @@ pub fn extract_for(
     }
 }
 
-/// Calibration dispatch: the method's noise family at `delta`, or `None`
-/// for a non-private method, a config without ε, or an empty container.
+/// Calibration: σ for the run's ε at δ = `config.effective_delta` over
+/// the training `candidates`, or `None` for a non-private method, a
+/// config without ε, or an empty container.
 pub fn calibrate_for(
     method: Method,
     config: &PrivImConfig,
     container: &SubgraphContainer,
     occurrence_bound: usize,
-    delta: f64,
+    candidates: &[NodeId],
 ) -> Option<PrivacySetup> {
     let eps = config.epsilon.filter(|_| method != Method::NonPrivate)?;
     if container.is_empty() {
         return None;
     }
-    let noise = match method {
-        Method::Hp | Method::HpGrat => NoiseKind::SymmetricLaplace,
-        _ => NoiseKind::Gaussian,
-    };
     Some(PrivacySetup::calibrate(
         eps,
-        delta,
+        config.effective_delta(candidates.len()),
         config,
         container.len(),
         occurrence_bound,
-        noise,
+        NoiseKind::Gaussian,
     ))
 }
 
@@ -469,7 +466,13 @@ mod tests {
     fn released_model_carries_its_exact_ledger() {
         let g = graph(1);
         let cfg = fast_config();
-        for method in [Method::PrivImStar, Method::Hp, Method::NonPrivate] {
+        let target = cfg.epsilon.unwrap();
+        for method in [
+            Method::PrivImStar,
+            Method::Hp,
+            Method::HpGrat,
+            Method::NonPrivate,
+        ] {
             let r = run_method(&g, method, &cfg, 7);
             let released = &r.model;
             assert_eq!(released.epoch, cfg.iterations as u64, "{method}");
@@ -482,6 +485,8 @@ mod tests {
                     assert_eq!(ledger.entries().len(), cfg.iterations, "{method}");
                     assert!(ledger.entries().iter().all(|e| e.sigma == sigma));
                     ledger.verify_replay(1e-9).unwrap();
+                    let spent = ledger.cumulative_epsilon().unwrap();
+                    assert!(spent <= target, "{method}: ε {spent} > {target}");
                 }
                 (None, None) => {}
                 other => panic!("{method}: ledger and σ disagree: {other:?}"),

@@ -18,7 +18,7 @@
 //! 1e-9, and the accountant reconstructed from the restored γ state must
 //! convert to the recorded final ε bit-for-bit. A checkpoint that fails
 //! either check — or whose configuration digest, model kind or recorded
-//! mechanism (noise family, σ, δ, N_g, B, m) disagrees with the run's —
+//! mechanism (σ, δ, N_g, B, m) disagrees with the run's —
 //! is refused with a typed error rather than silently mis-accounting
 //! the budget.
 
@@ -67,8 +67,8 @@ pub enum ResumeError {
         /// The architecture stored in the checkpoint.
         found: ModelKind,
     },
-    /// The restored ledger recorded a different mechanism (noise family,
-    /// σ, δ, N_g, B or m) than this run's calibration and container.
+    /// The restored ledger recorded a different mechanism (σ, δ, N_g, B
+    /// or m) than this run's calibration and container.
     /// Continuing would account the remaining steps under a mechanism
     /// the spent ones never ran, and overspend the calibrated ε.
     MechanismMismatch(String),
@@ -234,8 +234,8 @@ fn verify_restored_ledger(ledger: &PrivacyLedger) -> Result<(), ResumeError> {
 
 /// Refuses a restored ledger whose steps ran another mechanism than
 /// `setup` over a container of `container_size` subgraphs: the
-/// configuration digest does not cover the method, and the method picks
-/// the container, `N_g` and the noise family.
+/// configuration digest does not cover the method, which picks the
+/// container and `N_g`.
 fn verify_mechanism(
     ledger: &PrivacyLedger,
     setup: &PrivacySetup,
@@ -243,16 +243,15 @@ fn verify_mechanism(
     container_size: usize,
 ) -> Result<(), ResumeError> {
     let run = (
-        setup.mechanism(),
         setup.sigma,
         setup.delta,
         setup.subsampled_config(config, container_size),
     );
-    let recorded = |e: &LedgerEntry| (e.mechanism, e.sigma, e.delta, e.config);
+    let recorded = |e: &LedgerEntry| (e.sigma, e.delta, e.config);
     match ledger.entries().iter().find(|e| recorded(e) != run) {
         None => Ok(()),
         Some(e) => Err(ResumeError::MechanismMismatch(format!(
-            "step {} recorded (mechanism, σ, δ, (N_g, B, m)) = {:?}, this run {run:?}",
+            "step {} recorded (σ, δ, (N_g, B, m)) = {:?}, this run {run:?}",
             e.step,
             recorded(e)
         ))),
@@ -598,15 +597,15 @@ mod tests {
     #[test]
     fn another_model_or_mechanism_is_refused() {
         // The configuration digest does not cover the method, which picks
-        // the architecture, the container, N_g and the noise family; a
-        // resume under another one must be refused, not overspend ε.
+        // the architecture, the container and N_g; a resume under another
+        // one must be refused, not overspend ε.
         let _g = crate::checkpoint::tests::fault_lock();
         let (container, cfg) = setup(4);
         let st = store("mechanism");
-        let calibrate = |m: usize, n_g: usize, noise: NoiseKind| {
-            PrivacySetup::calibrate(3.0, 1e-4, &cfg, m, n_g, noise)
+        let calibrate = |m: usize, n_g: usize| {
+            PrivacySetup::calibrate(3.0, 1e-4, &cfg, m, n_g, NoiseKind::Gaussian)
         };
-        let private = calibrate(container.len(), 4, NoiseKind::Gaussian);
+        let private = calibrate(container.len(), 4);
         let run = |kind: ModelKind, container: &SubgraphContainer, privacy: &PrivacySetup| {
             train_resumable(
                 kind,
@@ -629,15 +628,8 @@ mod tests {
         let (other, _) = setup(5);
         assert_ne!(other.len(), container.len());
         for (container, privacy) in [
-            (
-                &container,
-                calibrate(container.len(), 5, NoiseKind::Gaussian),
-            ),
-            (
-                &container,
-                calibrate(container.len(), 4, NoiseKind::SymmetricLaplace),
-            ),
-            (&other, calibrate(other.len(), 4, NoiseKind::Gaussian)),
+            (&container, calibrate(container.len(), 5)),
+            (&other, calibrate(other.len(), 4)),
         ] {
             let refused = run(ModelKind::Gcn, container, &privacy);
             assert!(

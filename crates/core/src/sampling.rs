@@ -15,7 +15,7 @@
 //!   re-samples the remaining boundary regions with subgraph size `n/s`,
 //!   enriching structure without increasing `N_g* = M`.
 //!
-//! Every scheme runs its walks through one [`Walker`] per extraction call.
+//! Every scheme runs its walks through one `Walker` per extraction call.
 
 use rand::Rng;
 

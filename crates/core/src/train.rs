@@ -3,9 +3,8 @@
 //! Treats each subgraph as one sample: per-subgraph gradients are clipped
 //! to l2 norm `C`, summed over the batch, perturbed with Gaussian noise of
 //! standard deviation `σ · Δ_g` (`Δ_g = C · N_g`, Lemma 2), and applied
-//! with learning rate `η / B`. The same loop also serves the baselines:
-//! noise can be disabled (non-private) or swapped for Symmetric
-//! Multivariate Laplace (the HP baseline).
+//! with learning rate `η / B`. The same loop also serves the baselines,
+//! with noise disabled for the non-private reference.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -14,8 +13,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use privim_dp::budget::{BudgetDecision, BudgetGuard};
-use privim_dp::ledger::{MechanismKind, PrivacyLedger};
-use privim_dp::mechanisms::{gaussian, symmetric_multivariate_laplace};
+use privim_dp::ledger::PrivacyLedger;
+use privim_dp::mechanisms::gaussian;
 use privim_dp::rdp::{calibrate_sigma, RdpAccountant, SubsampledConfig};
 use privim_nn::models::GnnModel;
 use privim_nn::optim::{Optimizer, OptimizerSnapshot, Sgd};
@@ -28,13 +27,12 @@ use crate::container::{SubgraphContainer, SubgraphSample};
 use crate::loss::{im_loss, lt_loss};
 use crate::resume::{BudgetHalt, Cadence, ResumeError};
 
-/// Which noise the private training loop injects.
+/// Which noise the private training loop injects: Gaussian, the one
+/// mechanism Theorem 3 accounts for, for every private method.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NoiseKind {
-    /// Gaussian noise (Algorithm 2; PrivIM, PrivIM*, EGN).
+    /// Gaussian noise (Algorithm 2).
     Gaussian,
-    /// Symmetric Multivariate Laplace (the HP baseline's mechanism).
-    SymmetricLaplace,
 }
 
 /// Privacy setup for one training run.
@@ -44,8 +42,6 @@ pub struct PrivacySetup {
     pub sigma: f64,
     /// Occurrence bound `N_g` used for the sensitivity `Δ_g = C · N_g`.
     pub max_occurrences: usize,
-    /// Noise family.
-    pub noise: NoiseKind,
     /// The ε the calibration targeted.
     pub target_epsilon: f64,
     /// The δ used.
@@ -55,13 +51,14 @@ pub struct PrivacySetup {
 impl PrivacySetup {
     /// Calibrates σ for `(epsilon, delta)` over the run described by
     /// `config` and the container size `m` (Theorem 3 + Theorem 1).
+    /// `NoiseKind::Gaussian` is the only noise family.
     pub fn calibrate(
         epsilon: f64,
         delta: f64,
         config: &PrivImConfig,
         container_size: usize,
         max_occurrences: usize,
-        noise: NoiseKind,
+        _noise: NoiseKind,
     ) -> Self {
         let sub = SubsampledConfig {
             max_occurrences: max_occurrences.max(1),
@@ -72,17 +69,8 @@ impl PrivacySetup {
         PrivacySetup {
             sigma,
             max_occurrences: sub.max_occurrences,
-            noise,
             target_epsilon: epsilon,
             delta,
-        }
-    }
-
-    /// The ledger's name for this setup's noise family.
-    pub fn mechanism(&self) -> MechanismKind {
-        match self.noise {
-            NoiseKind::Gaussian => MechanismKind::SubsampledGaussian,
-            NoiseKind::SymmetricLaplace => MechanismKind::SubsampledSml,
         }
     }
 
@@ -374,21 +362,7 @@ pub(crate) fn dp_step<R: Rng + ?Sized>(
     }
     if let Some(setup) = privacy {
         let std = setup.noise_std(config.clip_bound);
-        match setup.noise {
-            NoiseKind::Gaussian => {
-                sum.map_entries_mut(|x| *x += gaussian(rng, std));
-            }
-            NoiseKind::SymmetricLaplace => {
-                // SML draws one radial factor per block application; we
-                // apply it blockwise to keep the heavy-tailed coupling.
-                for block in sum.blocks_mut() {
-                    let noise = symmetric_multivariate_laplace(rng, std, block.data().len());
-                    for (x, n) in block.data_mut().iter_mut().zip(noise) {
-                        *x += n;
-                    }
-                }
-            }
-        }
+        sum.map_entries_mut(|x| *x += gaussian(rng, std));
     }
     sum.scale_assign(1.0 / batch as f64);
     optimizer.step(model.params_mut(), &sum);
@@ -625,8 +599,7 @@ pub(crate) fn run_epochs<S: EpochRng>(
                 (Some(setup), Some(sub), Some(ledger)) => {
                     privim_obs::histogram("train.clip_fraction").record(stats.clip_fraction);
                     let sensitivity = config.clip_bound * setup.max_occurrences as f64;
-                    let (eps, alpha) =
-                        ledger.record_step(setup.mechanism(), setup.sigma, sensitivity, sub);
+                    let (eps, alpha) = ledger.record_step(setup.sigma, sensitivity, sub);
                     privim_obs::info!(
                         "train",
                         "epoch",
@@ -769,32 +742,6 @@ mod tests {
         // Parameters stay finite despite noise.
         for p in model.params().iter() {
             assert!(p.value.is_finite(), "{} became non-finite", p.name);
-        }
-    }
-
-    #[test]
-    fn sml_noise_path_runs() {
-        let (_, container, cfg) = setup(5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut model = build_model(
-            ModelKind::Gcn,
-            cfg.feature_dim,
-            cfg.hidden,
-            cfg.hops,
-            &mut rng,
-        );
-        let setup = PrivacySetup::calibrate(
-            2.0,
-            1e-4,
-            &cfg,
-            container.len(),
-            11,
-            NoiseKind::SymmetricLaplace,
-        );
-        let report = train(model.as_mut(), &container, &cfg, Some(&setup), &mut rng).unwrap();
-        assert_eq!(report.losses.len(), cfg.iterations);
-        for p in model.params().iter() {
-            assert!(p.value.is_finite());
         }
     }
 
@@ -1019,20 +966,17 @@ mod tests {
     #[test]
     fn steps_are_bit_identical_at_any_thread_count() {
         let (_, container, mut cfg) = setup(1);
-        let calibrate = |noise| {
-            PrivacySetup::calibrate(3.0, 1e-4, &cfg, container.len(), cfg.freq_threshold, noise)
-        };
-        let (gaussian, sml) = (
-            calibrate(NoiseKind::Gaussian),
-            calibrate(NoiseKind::SymmetricLaplace),
+        let gaussian = PrivacySetup::calibrate(
+            3.0,
+            1e-4,
+            &cfg,
+            container.len(),
+            cfg.freq_threshold,
+            NoiseKind::Gaussian,
         );
         for loss in [LossKind::IcProduct, LossKind::LtTruncated] {
             cfg.loss = loss;
-            for (name, privacy) in [
-                ("gaussian", Some(&gaussian)),
-                ("sml", Some(&sml)),
-                ("non-private", None),
-            ] {
+            for (name, privacy) in [("gaussian", Some(&gaussian)), ("non-private", None)] {
                 let serial = run_bits(&container, &cfg, privacy, 1);
                 assert_eq!(serial[1].len(), cfg.iterations);
                 assert_eq!(

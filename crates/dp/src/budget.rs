@@ -99,29 +99,21 @@ impl BudgetGuard {
     /// [`PrivacyLedger::record_step`] would append. Does not mutate the
     /// ledger.
     pub fn project_next(ledger: &PrivacyLedger, sigma: f64, config: &SubsampledConfig) -> f64 {
-        let mut acct = ledger.accountant();
+        let mut acct = ledger.accountant().clone();
         acct.compose_subsampled_gaussian(sigma, config, 1);
         acct.epsilon(ledger.delta()).0
     }
 
-    /// Exact per-step ε burn rate right now: the marginal ε of the next
-    /// step given everything already committed. (RDP composition makes
-    /// this shrink as the run progresses — ε grows sublinearly in T.)
-    pub fn burn_rate(ledger: &PrivacyLedger, sigma: f64, config: &SubsampledConfig) -> f64 {
-        let spent = ledger.cumulative_epsilon().unwrap_or(0.0);
-        BudgetGuard::project_next(ledger, sigma, config) - spent
-    }
-
     /// Exact number of further steps at `(sigma, config)` the budget
     /// still admits, by simulating composition forward (capped at
-    /// [`MAX_PROJECTED_STEPS`]). 0 means the very next step must halt.
+    /// `MAX_PROJECTED_STEPS`). 0 means the very next step must halt.
     pub fn steps_remaining(
         &self,
         ledger: &PrivacyLedger,
         sigma: f64,
         config: &SubsampledConfig,
     ) -> u64 {
-        let mut acct = ledger.accountant();
+        let mut acct = ledger.accountant().clone();
         let delta = ledger.delta();
         for taken in 0..MAX_PROJECTED_STEPS {
             acct.compose_subsampled_gaussian(sigma, config, 1);
@@ -166,7 +158,6 @@ impl BudgetGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::MechanismKind;
 
     fn config() -> SubsampledConfig {
         SubsampledConfig {
@@ -183,11 +174,7 @@ mod tests {
     fn epsilon_trace(steps: usize) -> Vec<f64> {
         let mut ledger = PrivacyLedger::new(DELTA);
         (0..steps)
-            .map(|_| {
-                ledger
-                    .record_step(MechanismKind::SubsampledGaussian, SIGMA, 1.0, &config())
-                    .0
-            })
+            .map(|_| ledger.record_step(SIGMA, 1.0, &config()).0)
             .collect()
     }
 
@@ -196,8 +183,7 @@ mod tests {
         let mut ledger = PrivacyLedger::new(DELTA);
         for _ in 0..7 {
             let projected = BudgetGuard::project_next(&ledger, SIGMA, &config());
-            let (recorded, _) =
-                ledger.record_step(MechanismKind::SubsampledGaussian, SIGMA, 1.0, &config());
+            let (recorded, _) = ledger.record_step(SIGMA, 1.0, &config());
             assert_eq!(
                 projected.to_bits(),
                 recorded.to_bits(),
@@ -227,12 +213,7 @@ mod tests {
                     break;
                 }
                 BudgetDecision::Proceed { projected } | BudgetDecision::Warn { projected, .. } => {
-                    let (eps, _) = ledger.record_step(
-                        MechanismKind::SubsampledGaussian,
-                        SIGMA,
-                        1.0,
-                        &config(),
-                    );
+                    let (eps, _) = ledger.record_step(SIGMA, 1.0, &config());
                     assert_eq!(projected.to_bits(), eps.to_bits());
                     steps_taken += 1;
                     assert!(steps_taken <= 10, "guard never halted");
@@ -258,7 +239,7 @@ mod tests {
                 guard.check_next_step(&ledger, SIGMA, &config()),
                 BudgetDecision::Halt { .. }
             ));
-            ledger.record_step(MechanismKind::SubsampledGaussian, SIGMA, 1.0, &config());
+            ledger.record_step(SIGMA, 1.0, &config());
         }
         // The budget is spent to the last bit; one more step must halt.
         assert!(matches!(
@@ -293,7 +274,7 @@ mod tests {
                 }
                 BudgetDecision::Halt { .. } => panic!("budget fits all steps"),
             }
-            ledger.record_step(MechanismKind::SubsampledGaussian, SIGMA, 1.0, &config());
+            ledger.record_step(SIGMA, 1.0, &config());
         }
         let at = warned_at.expect("crossing 50% must warn");
         assert!(trace[at] >= 0.5 * budget && (at == 0 || trace[at - 1] < 0.5 * budget));
@@ -309,21 +290,9 @@ mod tests {
         // After committing 5 steps, 8 remain.
         let mut spent = PrivacyLedger::new(DELTA);
         for _ in 0..5 {
-            spent.record_step(MechanismKind::SubsampledGaussian, SIGMA, 1.0, &config());
+            spent.record_step(SIGMA, 1.0, &config());
         }
         assert_eq!(guard.steps_remaining(&spent, SIGMA, &config()), 8);
-    }
-
-    #[test]
-    fn burn_rate_is_positive_and_shrinks_under_composition() {
-        let mut ledger = PrivacyLedger::new(DELTA);
-        let first = BudgetGuard::burn_rate(&ledger, SIGMA, &config());
-        assert!(first > 0.0);
-        for _ in 0..10 {
-            ledger.record_step(MechanismKind::SubsampledGaussian, SIGMA, 1.0, &config());
-        }
-        let later = BudgetGuard::burn_rate(&ledger, SIGMA, &config());
-        assert!(later > 0.0 && later < first, "{later} !< {first}");
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Append-only privacy-budget ledger.
 //!
 //! Every mechanism invocation in a private training run appends one
-//! [`LedgerEntry`] recording the mechanism kind, noise multiplier σ,
-//! sensitivity Δ_g, subsampling structure, and the accountant's
-//! cumulative `(ε, α)` after the step. The ledger does its own RDP
-//! bookkeeping with exactly the same accumulate-then-convert arithmetic
-//! as [`RdpAccountant::epsilon_schedule`], so its running ε *is* the
-//! accountant's — and because each entry carries the full mechanism
-//! parameters, the whole accounting can be replayed offline from the
-//! entries alone ([`replay_records`]) or checked in-process
+//! [`LedgerEntry`] recording the noise multiplier σ, sensitivity Δ_g,
+//! subsampling structure, and the accountant's cumulative `(ε, α)` after
+//! the step. The ledger composes each step through its own
+//! [`RdpAccountant`], so its running ε *is* the accountant's — and
+//! because each entry carries the full mechanism parameters, the whole
+//! accounting can be replayed offline from the entries alone
+//! ([`replay_records`]) or checked in-process
 //! ([`PrivacyLedger::verify_replay`]): the reconstructed cumulative ε
 //! must match the recorded one to within 1e-9.
 //!
@@ -19,60 +18,23 @@
 
 use privim_obs::LedgerRecord;
 
-use crate::rdp::{
-    rdp_to_epsilon, subsampled_gaussian_rdp, RdpAccountant, SubsampledConfig, DEFAULT_ORDERS,
-};
+use crate::rdp::{subsampled_gaussian_rdp, RdpAccountant, SubsampledConfig};
 
 /// Magic + version prefix of the binary ledger format.
 const LEDGER_MAGIC: &[u8; 4] = b"PVLG";
 const LEDGER_VERSION: u32 = 1;
 
-/// The noise mechanism an entry accounts for. Both kinds are calibrated
-/// through the same subsampled-Gaussian RDP bound (Theorem 3); the kind
-/// records which sampler actually injected the noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechanismKind {
-    /// Per-coordinate Gaussian noise on the clipped gradient sum.
-    SubsampledGaussian,
-    /// Symmetric multivariate Laplace noise (the paper's Theorem 2
-    /// mechanism), accounted via the same Gaussian RDP machinery.
-    SubsampledSml,
-}
-
-impl MechanismKind {
-    /// Stable string name used in events and telemetry.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MechanismKind::SubsampledGaussian => "subsampled_gaussian",
-            MechanismKind::SubsampledSml => "subsampled_sml",
-        }
-    }
-
-    /// Stable wire code used by the binary ledger format.
-    pub fn code(self) -> u8 {
-        match self {
-            MechanismKind::SubsampledGaussian => 0,
-            MechanismKind::SubsampledSml => 1,
-        }
-    }
-
-    /// Inverse of [`MechanismKind::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(MechanismKind::SubsampledGaussian),
-            1 => Some(MechanismKind::SubsampledSml),
-            _ => None,
-        }
-    }
-}
+/// The one mechanism every entry accounts for: per-coordinate Gaussian
+/// noise on the clipped gradient sum (Theorem 3). Its name in events and
+/// telemetry, and its wire code in the binary format.
+const MECHANISM: &str = "subsampled_gaussian";
+const MECHANISM_CODE: u8 = 0;
 
 /// One recorded mechanism invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     /// Accounted step index (1-based).
     pub step: u64,
-    /// Which mechanism ran.
-    pub mechanism: MechanismKind,
     /// Noise multiplier σ.
     pub sigma: f64,
     /// Group sensitivity Δ_g = C · N_g (the noise std is σ · Δ_g).
@@ -97,7 +59,7 @@ impl LedgerEntry {
     pub fn to_record(&self) -> LedgerRecord {
         LedgerRecord {
             step: self.step,
-            mechanism: self.mechanism.as_str().to_string(),
+            mechanism: MECHANISM.to_string(),
             sigma: self.sigma,
             sensitivity: self.sensitivity,
             sampling_rate: self.sampling_rate,
@@ -111,11 +73,10 @@ impl LedgerEntry {
     }
 }
 
-/// The append-only ledger plus its internal RDP state.
+/// The append-only ledger plus the accountant it composes through.
 #[derive(Debug, Clone)]
 pub struct PrivacyLedger {
-    orders: Vec<f64>,
-    gammas: Vec<f64>,
+    accountant: RdpAccountant,
     delta: f64,
     entries: Vec<LedgerEntry>,
 }
@@ -123,42 +84,29 @@ pub struct PrivacyLedger {
 impl PrivacyLedger {
     /// A fresh ledger over the default α grid, converting at `delta`.
     pub fn new(delta: f64) -> Self {
-        PrivacyLedger::with_orders(&DEFAULT_ORDERS, delta)
-    }
-
-    /// A fresh ledger over an explicit α grid.
-    pub fn with_orders(orders: &[f64], delta: f64) -> Self {
-        assert!(
-            !orders.is_empty() && orders.iter().all(|&a| a > 1.0),
-            "orders must be > 1"
-        );
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
         PrivacyLedger {
-            orders: orders.to_vec(),
-            gammas: vec![0.0; orders.len()],
+            accountant: RdpAccountant::default(),
             delta,
             entries: Vec::new(),
         }
     }
 
-    /// Records one mechanism invocation: accumulates its RDP cost on
-    /// every order, converts to the running `(ε, α)`, appends the entry,
+    /// Records one subsampled-Gaussian step: composes it on the
+    /// accountant, converts to the running `(ε, α)`, appends the entry,
     /// and (with a `Debug` sink listening) emits a `dp`/`mechanism`
     /// event. Returns the cumulative `(ε, α)` after the step.
     pub fn record_step(
         &mut self,
-        mechanism: MechanismKind,
         sigma: f64,
         sensitivity: f64,
         config: &SubsampledConfig,
     ) -> (f64, f64) {
-        for (gamma, &alpha) in self.gammas.iter_mut().zip(&self.orders) {
-            *gamma += subsampled_gaussian_rdp(alpha, sigma, config);
-        }
-        let (epsilon_after, alpha) = best_epsilon(&self.orders, &self.gammas, self.delta);
+        self.accountant
+            .compose_subsampled_gaussian(sigma, config, 1);
+        let (epsilon_after, alpha) = self.accountant.epsilon(self.delta);
         let entry = LedgerEntry {
             step: self.entries.len() as u64 + 1,
-            mechanism,
             sigma,
             sensitivity,
             sampling_rate: config.affected_fraction(),
@@ -172,7 +120,7 @@ impl PrivacyLedger {
             "dp",
             "mechanism",
             step = entry.step,
-            mechanism = entry.mechanism.as_str(),
+            mechanism = MECHANISM,
             sigma = entry.sigma,
             sensitivity = entry.sensitivity,
             sampling_rate = entry.sampling_rate,
@@ -193,27 +141,16 @@ impl PrivacyLedger {
         &self.entries
     }
 
-    /// The α grid this ledger accounts over.
-    pub fn orders(&self) -> &[f64] {
-        &self.orders
-    }
-
-    /// The accumulated γ(α) values, parallel to [`PrivacyLedger::orders`]
-    /// — the ledger's internal RDP state.
-    pub fn gammas(&self) -> &[f64] {
-        &self.gammas
-    }
-
     /// The δ this ledger converts at.
     pub fn delta(&self) -> f64 {
         self.delta
     }
 
-    /// An [`RdpAccountant`] seeded with this ledger's exact RDP state:
-    /// composing further steps on it continues the run's accounting
+    /// The accountant holding this ledger's exact RDP state: a clone
+    /// that composes further steps continues the run's accounting
     /// bit-for-bit.
-    pub fn accountant(&self) -> RdpAccountant {
-        RdpAccountant::with_state(self.orders.clone(), self.gammas.clone())
+    pub fn accountant(&self) -> &RdpAccountant {
+        &self.accountant
     }
 
     /// Cumulative ε after the last recorded step, if any.
@@ -232,7 +169,7 @@ impl PrivacyLedger {
     /// first violation as an error.
     pub fn verify_replay(&self, tolerance: f64) -> Result<(), String> {
         let records = self.to_records();
-        let replayed = replay_records(&records, &self.orders);
+        let replayed = replay_records(&records, self.accountant.orders());
         for (entry, &(eps, _alpha)) in self.entries.iter().zip(&replayed) {
             let diff = (entry.epsilon_after - eps).abs();
             if diff.is_nan() || diff > tolerance {
@@ -254,21 +191,22 @@ impl PrivacyLedger {
     /// by the crash-safe checkpoint store, which checksums it as part of
     /// the checkpoint payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.orders.len() * 16 + self.entries.len() * 96);
+        let orders = self.accountant.orders();
+        let mut out = Vec::with_capacity(64 + orders.len() * 16 + self.entries.len() * 96);
         out.extend_from_slice(LEDGER_MAGIC);
         out.extend_from_slice(&LEDGER_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.orders.len() as u64).to_le_bytes());
-        for &alpha in &self.orders {
+        out.extend_from_slice(&(orders.len() as u64).to_le_bytes());
+        for &alpha in orders {
             out.extend_from_slice(&alpha.to_bits().to_le_bytes());
         }
-        for &gamma in &self.gammas {
+        for &gamma in self.accountant.gammas() {
             out.extend_from_slice(&gamma.to_bits().to_le_bytes());
         }
         out.extend_from_slice(&self.delta.to_bits().to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
         for e in &self.entries {
             out.extend_from_slice(&e.step.to_le_bytes());
-            out.push(e.mechanism.code());
+            out.push(MECHANISM_CODE);
             for v in [
                 e.sigma,
                 e.sensitivity,
@@ -331,8 +269,12 @@ impl PrivacyLedger {
         for i in 0..n_entries {
             let step = r.u64()?;
             let code = r.take(1)?[0];
-            let mechanism = MechanismKind::from_code(code)
-                .ok_or_else(|| format!("entry {i}: unknown mechanism code {code}"))?;
+            if code != MECHANISM_CODE {
+                return Err(format!(
+                    "entry {i}: unknown mechanism code {code} (only {MECHANISM_CODE}, \
+                     {MECHANISM}, is accounted)"
+                ));
+            }
             let sigma = r.f64()?;
             let sensitivity = r.f64()?;
             let sampling_rate = r.f64()?;
@@ -348,7 +290,6 @@ impl PrivacyLedger {
             }
             entries.push(LedgerEntry {
                 step,
-                mechanism,
                 sigma,
                 sensitivity,
                 sampling_rate,
@@ -370,8 +311,7 @@ impl PrivacyLedger {
             ));
         }
         Ok(PrivacyLedger {
-            orders,
-            gammas,
+            accountant: RdpAccountant::with_state(orders, gammas),
             delta,
             entries,
         })
@@ -407,74 +347,66 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn best_epsilon(orders: &[f64], gammas: &[f64], delta: f64) -> (f64, f64) {
-    orders
-        .iter()
-        .zip(gammas)
-        .map(|(&alpha, &gamma)| (rdp_to_epsilon(gamma, alpha, delta), alpha))
-        .filter(|(eps, _)| eps.is_finite())
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .expect("at least one order yields finite epsilon")
-}
-
 /// Replays RDP accounting from telemetry-layer ledger records alone:
-/// re-evaluates each step's γ(α) from its recorded `(σ, N_g, B, m)`,
-/// accumulates over `orders`, and converts with each record's δ.
+/// composes each step's recorded `(σ, N_g, B, m)` on a fresh accountant
+/// over `orders`, and converts with each record's δ.
 /// Returns the cumulative `(ε, best α)` after every record — the values
 /// the accountant reported when the run happened, reconstructed without
 /// the accountant.
 pub fn replay_records(records: &[LedgerRecord], orders: &[f64]) -> Vec<(f64, f64)> {
-    let mut gammas = vec![0.0f64; orders.len()];
-    let mut out = Vec::with_capacity(records.len());
-    for record in records {
-        let config = SubsampledConfig {
-            max_occurrences: record.max_occurrences as usize,
-            batch_size: record.batch_size as usize,
-            container_size: record.container_size as usize,
-        };
-        for (gamma, &alpha) in gammas.iter_mut().zip(orders) {
-            *gamma += subsampled_gaussian_rdp(alpha, record.sigma, &config);
-        }
-        out.push(best_epsilon(orders, &gammas, record.delta));
-    }
-    out
+    let mut accountant = RdpAccountant::new(orders);
+    records
+        .iter()
+        .map(|record| {
+            let config = SubsampledConfig {
+                max_occurrences: record.max_occurrences as usize,
+                batch_size: record.batch_size as usize,
+                container_size: record.container_size as usize,
+            };
+            accountant.compose_subsampled_gaussian(record.sigma, &config, 1);
+            accountant.epsilon(record.delta)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rdp::RdpAccountant;
 
     fn fill(ledger: &mut PrivacyLedger, sigma: f64, config: &SubsampledConfig, steps: usize) {
         for _ in 0..steps {
-            ledger.record_step(MechanismKind::SubsampledGaussian, sigma, 2.0, config);
+            ledger.record_step(sigma, 2.0, config);
         }
     }
 
     #[test]
-    fn ledger_tracks_the_accountants_epsilon() {
-        let config = SubsampledConfig {
-            max_occurrences: 4,
-            batch_size: 16,
-            container_size: 256,
-        };
+    fn ledger_epsilon_is_the_accountants_bit_for_bit() {
+        // A mixed (σ, N_g, B, m) sequence: after every step the ledger's
+        // (ε, α) has the same bits as an accountant composed step by step.
+        let steps = [
+            (1.2, 4, 16, 256),
+            (3.5, 12, 32, 96),
+            (0.8, 2, 8, 1024),
+            (1.2, 4, 16, 256),
+            (2.5, 8, 16, 128),
+            (0.6, 1, 4, 4),
+        ];
         let mut ledger = PrivacyLedger::new(1e-5);
-        fill(&mut ledger, 1.2, &config, 5);
-        let schedule = RdpAccountant::default().epsilon_schedule(1.2, &config, 5, 1e-5);
-        assert_eq!(ledger.entries().len(), 5);
-        for (entry, &(eps, alpha)) in ledger.entries().iter().zip(&schedule) {
-            assert!(
-                (entry.epsilon_after - eps).abs() < 1e-12,
-                "step {}: ledger {} vs schedule {eps}",
-                entry.step,
-                entry.epsilon_after,
-            );
-            assert_eq!(entry.alpha, alpha);
+        let mut acct = RdpAccountant::default();
+        for (sigma, max_occurrences, batch_size, container_size) in steps {
+            let config = SubsampledConfig {
+                max_occurrences,
+                batch_size,
+                container_size,
+            };
+            let (eps, alpha) = ledger.record_step(sigma, 2.0, &config);
+            acct.compose_subsampled_gaussian(sigma, &config, 1);
+            let (want_eps, want_alpha) = acct.epsilon(1e-5);
+            assert_eq!(eps.to_bits(), want_eps.to_bits(), "σ={sigma}");
+            assert_eq!(alpha.to_bits(), want_alpha.to_bits(), "σ={sigma}");
+            assert_eq!(ledger.cumulative_epsilon(), Some(want_eps));
         }
-        assert_eq!(
-            ledger.cumulative_epsilon(),
-            Some(schedule.last().unwrap().0)
-        );
+        assert_eq!(ledger.entries().len(), steps.len());
     }
 
     #[test]
@@ -519,7 +451,7 @@ mod tests {
             let mut acct = RdpAccountant::default();
             acct.compose_subsampled_gaussian(sigma, &config, steps);
             let (acct_eps, _) = acct.epsilon(1e-5);
-            let replayed = replay_records(&ledger.to_records(), ledger.orders());
+            let replayed = replay_records(&ledger.to_records(), ledger.accountant().orders());
             let (replay_eps, _) = *replayed.last().unwrap();
             assert!(
                 (acct_eps - replay_eps).abs() < 1e-9,
@@ -576,22 +508,22 @@ mod tests {
         };
         let mut ledger = PrivacyLedger::new(1e-5);
         fill(&mut ledger, 1.2, &config, 7);
-        ledger.record_step(MechanismKind::SubsampledSml, 2.5, 3.0, &config);
         let bytes = ledger.to_bytes();
         let back = PrivacyLedger::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.entries(), ledger.entries());
-        assert_eq!(back.orders(), ledger.orders());
+        assert_eq!(back.accountant().orders(), ledger.accountant().orders());
         assert_eq!(back.delta(), ledger.delta());
         // γ state restores bit-for-bit …
-        for (a, b) in ledger.gammas().iter().zip(back.gammas()) {
+        let gammas = back.accountant().gammas();
+        for (a, b) in ledger.accountant().gammas().iter().zip(gammas) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         back.verify_replay(1e-9).expect("decoded ledger replays");
         // … so continuing the run on the decoded ledger matches exactly.
         let mut cont_orig = ledger.clone();
         let mut cont_back = back;
-        let a = cont_orig.record_step(MechanismKind::SubsampledGaussian, 1.2, 2.0, &config);
-        let b = cont_back.record_step(MechanismKind::SubsampledGaussian, 1.2, 2.0, &config);
+        let a = cont_orig.record_step(1.2, 2.0, &config);
+        let b = cont_back.record_step(1.2, 2.0, &config);
         assert_eq!(a.0.to_bits(), b.0.to_bits());
     }
 
@@ -622,14 +554,16 @@ mod tests {
         assert!(PrivacyLedger::from_bytes(&padded)
             .unwrap_err()
             .contains("trailing"));
-        // An unknown mechanism code is typed, not a panic.
-        let mut wrong = bytes;
+        // Any mechanism code but 0 is an error naming it, not a panic;
+        // 1 is the Laplace-mixture code older builds wrote for HP.
         // First entry's mechanism byte sits after magic+version+counts+grids.
         let mech_offset = 4 + 4 + 8 + 20 * 8 * 2 + 8 + 8 + 8;
-        wrong[mech_offset] = 9;
-        assert!(PrivacyLedger::from_bytes(&wrong)
-            .unwrap_err()
-            .contains("mechanism code"));
+        for code in [1, 9] {
+            let mut wrong = bytes.clone();
+            wrong[mech_offset] = code;
+            let err = PrivacyLedger::from_bytes(&wrong).unwrap_err();
+            assert!(err.contains(&format!("mechanism code {code}")), "{err}");
+        }
     }
 
     #[test]
@@ -643,7 +577,7 @@ mod tests {
         fill(&mut ledger, 1.2, &config, 10);
         // Accountant seeded from ledger state + 10 more steps must equal
         // a fresh accountant doing all 20.
-        let mut resumed = ledger.accountant();
+        let mut resumed = ledger.accountant().clone();
         resumed.compose_subsampled_gaussian(1.2, &config, 10);
         let mut full = RdpAccountant::default();
         full.compose_subsampled_gaussian(1.2, &config, 20);
@@ -663,10 +597,9 @@ mod tests {
             container_size: 256,
         };
         let mut ledger = PrivacyLedger::new(1e-5);
-        ledger.record_step(MechanismKind::SubsampledSml, 2.0, 3.5, &config);
+        ledger.record_step(2.0, 3.5, &config);
         let e = &ledger.entries()[0];
         assert_eq!(e.step, 1);
-        assert_eq!(e.mechanism, MechanismKind::SubsampledSml);
         assert_eq!(e.sigma, 2.0);
         assert_eq!(e.sensitivity, 3.5);
         assert!((e.sampling_rate - 4.0 / 256.0).abs() < 1e-15);
@@ -674,7 +607,7 @@ mod tests {
         assert!(e.epsilon_after > 0.0);
         assert!(e.alpha > 1.0);
         let record = e.to_record();
-        assert_eq!(record.mechanism, "subsampled_sml");
+        assert_eq!(record.mechanism, "subsampled_gaussian");
         assert_eq!(record.max_occurrences, 4);
         assert_eq!(record.epsilon_after, e.epsilon_after);
     }

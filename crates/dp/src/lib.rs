@@ -1,15 +1,16 @@
 //! Differential-privacy substrate for the PrivIM reproduction.
 //!
 //! - [`math`] — log-Gamma, log-binomial, log-sum-exp, Gamma pdf.
-//! - [`mechanisms`] — Gaussian, Laplace and Symmetric-Multivariate-Laplace
-//!   noise samplers plus the corresponding mechanisms.
+//! - [`mechanisms`] — the Gaussian noise sampler training draws from, and
+//!   the Laplace sampler and mechanism of Example 2.
 //! - [`rdp`] — the paper's Theorem 3 Rényi-DP accountant for the
 //!   subgraph-sampled Gaussian mechanism, Theorem 1 conversion to
 //!   `(ε, δ)`-DP, and noise-multiplier calibration.
 //! - [`ledger`] — the append-only privacy-budget ledger: one entry per
-//!   mechanism invocation (kind, σ, Δ_g, sampling structure, cumulative
-//!   ε), exported as `dp`/`mechanism` telemetry events and replayable
-//!   offline to re-derive the accountant's ε.
+//!   mechanism invocation (σ, Δ_g, sampling structure, cumulative ε),
+//!   composed through an [`RdpAccountant`], exported as `dp`/`mechanism`
+//!   telemetry events and replayable offline to re-derive the
+//!   accountant's ε.
 //! - [`budget`] — the live [`BudgetGuard`] over the ledger: projects the
 //!   accountant-exact ε of the *next* step and hard-halts a run before
 //!   it can overspend a `--epsilon-budget`.
@@ -35,17 +36,15 @@
 //! ```
 
 pub mod budget;
-pub mod composition;
 pub mod ledger;
 pub mod math;
 pub mod mechanisms;
 pub mod rdp;
 
 pub use budget::{BudgetDecision, BudgetGuard};
-pub use composition::{advanced_composition, basic_composition};
-pub use ledger::{replay_records, LedgerEntry, MechanismKind, PrivacyLedger};
-pub use mechanisms::{gaussian, laplace, symmetric_multivariate_laplace};
+pub use ledger::{replay_records, LedgerEntry, PrivacyLedger};
+pub use mechanisms::{gaussian, laplace};
 pub use rdp::{
     calibrate_sigma, naive_occurrence_bound, rdp_to_epsilon, subsampled_gaussian_rdp,
-    AdjacencyLevel, RdpAccountant, SubsampledConfig,
+    RdpAccountant, SubsampledConfig,
 };

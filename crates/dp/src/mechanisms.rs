@@ -1,6 +1,5 @@
-//! Noise mechanisms: Gaussian (the paper's Algorithm 2 line 8), Laplace
-//! (Example 2's illustration of why noisy greedy fails), and the Symmetric
-//! Multivariate Laplace noise used by the HP baseline [16].
+//! Noise mechanisms: Gaussian (the paper's Algorithm 2 line 8) and Laplace
+//! (Example 2's illustration of why noisy greedy fails).
 
 use rand::Rng;
 
@@ -32,33 +31,6 @@ trait Ln1pGuard {
 impl Ln1pGuard for f64 {
     fn ln_1p_guard(self) -> f64 {
         self.max(f64::MIN_POSITIVE).ln()
-    }
-}
-
-/// Samples a `dim`-dimensional Symmetric Multivariate Laplace vector with
-/// per-coordinate scale `sigma`: `X = sqrt(W) · Z` with `W ~ Exp(1)` and
-/// `Z ~ N(0, σ² I)`. This is the SML noise the HP baseline injects.
-pub fn symmetric_multivariate_laplace<R: Rng + ?Sized>(
-    rng: &mut R,
-    sigma: f64,
-    dim: usize,
-) -> Vec<f64> {
-    let w: f64 = -(1.0 - rng.gen::<f64>()).ln(); // Exp(1)
-    let scale = w.sqrt();
-    (0..dim).map(|_| scale * gaussian(rng, sigma)).collect()
-}
-
-/// The Gaussian mechanism for a query with l2-sensitivity `delta`:
-/// returns `value + N(0, (σ·Δ)²)` per coordinate, writing in place.
-pub fn gaussian_mechanism_inplace<R: Rng + ?Sized>(
-    rng: &mut R,
-    values: &mut [f64],
-    sigma: f64,
-    sensitivity: f64,
-) {
-    let std = sigma * sensitivity;
-    for v in values {
-        *v += gaussian(rng, std);
     }
 }
 
@@ -107,40 +79,10 @@ mod tests {
     }
 
     #[test]
-    fn sml_is_heavier_tailed_than_gaussian() {
-        // Kurtosis of SML coordinates exceeds the Gaussian's 3.
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut coords = Vec::with_capacity(200_000);
-        for _ in 0..50_000 {
-            coords.extend(symmetric_multivariate_laplace(&mut rng, 1.0, 4));
-        }
-        let (mean, var) = moments(&coords);
-        let kurt = coords.iter().map(|x| (x - mean).powi(4)).sum::<f64>()
-            / (coords.len() as f64 * var * var);
-        assert!(kurt > 4.0, "kurtosis {kurt} not heavy-tailed");
-    }
-
-    #[test]
     fn zero_std_is_noiseless() {
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(gaussian(&mut rng, 0.0), 0.0);
         assert_eq!(laplace(&mut rng, 0.0), -0.0);
-        let mut vals = vec![1.0, 2.0];
-        gaussian_mechanism_inplace(&mut rng, &mut vals, 0.0, 5.0);
-        assert_eq!(vals, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn gaussian_mechanism_perturbs_with_sensitivity_scale() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut deltas = Vec::new();
-        for _ in 0..20_000 {
-            let mut v = [0.0];
-            gaussian_mechanism_inplace(&mut rng, &mut v, 2.0, 3.0);
-            deltas.push(v[0]);
-        }
-        let (_, var) = moments(&deltas);
-        assert!((var - 36.0).abs() < 2.0, "var {var} should be (2*3)^2");
     }
 
     #[test]

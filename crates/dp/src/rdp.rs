@@ -45,33 +45,6 @@ impl SubsampledConfig {
     }
 }
 
-/// Which adjacency notion the DP guarantee is stated against
-/// (Definition 2). Node-level adjacency (graphs differing by one node and
-/// all its edges) strictly implies edge-level adjacency (differing by one
-/// edge), so any node-level bound is also a valid edge-level bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdjacencyLevel {
-    /// Adjacent graphs differ by one node and every edge touching it (the
-    /// paper's primary setting; the stronger guarantee).
-    Node,
-    /// Adjacent graphs differ by a single edge.
-    Edge,
-}
-
-impl AdjacencyLevel {
-    /// The occurrence bound to feed the accountant, given the node-level
-    /// bound `node_bound` and (for edge-level) an optional tighter
-    /// *pair co-occurrence* bound measured or derived for the sampler:
-    /// an edge only affects subgraphs containing both of its endpoints, so
-    /// its occurrence count is at most `node_bound` and often far smaller.
-    pub fn occurrence_bound(self, node_bound: usize, pair_bound: Option<usize>) -> usize {
-        match self {
-            AdjacencyLevel::Node => node_bound,
-            AdjacencyLevel::Edge => pair_bound.map_or(node_bound, |p| p.min(node_bound)),
-        }
-    }
-}
-
 /// Lemma 1: the naive pipeline's occurrence bound
 /// `N_g = Σ_{i=0}^{r} θⁱ = (θ^{r+1} − 1) / (θ − 1)`.
 pub fn naive_occurrence_bound(theta: usize, layers: usize) -> usize {
@@ -226,42 +199,6 @@ impl RdpAccountant {
             .filter(|(eps, _)| eps.is_finite())
             .min_by(|a, b| a.0.total_cmp(&b.0))
             .expect("at least one order yields finite epsilon")
-    }
-
-    /// The cumulative `(ε, best α)` after each of `steps` iterations of
-    /// the subsampled Gaussian mechanism at noise multiplier `sigma`,
-    /// starting from this accountant's current state (which is not
-    /// modified). One γ evaluation per order, `O(steps × orders)` total —
-    /// cheap enough to drive per-step telemetry.
-    pub fn epsilon_schedule(
-        &self,
-        sigma: f64,
-        config: &SubsampledConfig,
-        steps: usize,
-        delta: f64,
-    ) -> Vec<(f64, f64)> {
-        let per_step: Vec<f64> = self
-            .orders
-            .iter()
-            .map(|&alpha| subsampled_gaussian_rdp(alpha, sigma, config))
-            .collect();
-        let mut gammas = self.gammas.clone();
-        let mut schedule = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            for (gamma, inc) in gammas.iter_mut().zip(&per_step) {
-                *gamma += inc;
-            }
-            let best = self
-                .orders
-                .iter()
-                .zip(&gammas)
-                .map(|(&alpha, &gamma)| (rdp_to_epsilon(gamma, alpha, delta), alpha))
-                .filter(|(eps, _)| eps.is_finite())
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("at least one order yields finite epsilon");
-            schedule.push(best);
-        }
-        schedule
     }
 }
 
@@ -461,56 +398,6 @@ mod tests {
         assert!(
             s_naive * 100.0 > s_freq * 4.0,
             "absolute noise should shrink with the frequency bound"
-        );
-    }
-
-    #[test]
-    fn epsilon_schedule_matches_step_by_step_composition() {
-        let c = config();
-        let schedule = RdpAccountant::default().epsilon_schedule(1.2, &c, 5, 1e-5);
-        assert_eq!(schedule.len(), 5);
-        let mut acct = RdpAccountant::default();
-        for (step, &(eps, alpha)) in schedule.iter().enumerate() {
-            acct.compose_subsampled_gaussian(1.2, &c, 1);
-            let (want_eps, want_alpha) = acct.epsilon(1e-5);
-            assert!(
-                (eps - want_eps).abs() < 1e-9,
-                "step {step}: {eps} vs {want_eps}"
-            );
-            assert_eq!(alpha, want_alpha, "step {step}");
-        }
-        // Cumulative spend is monotone.
-        for w in schedule.windows(2) {
-            assert!(w[1].0 > w[0].0);
-        }
-    }
-
-    #[test]
-    fn adjacency_levels_pick_correct_bounds() {
-        assert_eq!(AdjacencyLevel::Node.occurrence_bound(10, Some(3)), 10);
-        assert_eq!(AdjacencyLevel::Edge.occurrence_bound(10, Some(3)), 3);
-        assert_eq!(AdjacencyLevel::Edge.occurrence_bound(10, None), 10);
-        assert_eq!(AdjacencyLevel::Edge.occurrence_bound(2, Some(5)), 2);
-    }
-
-    #[test]
-    fn edge_level_never_needs_more_noise_than_node_level() {
-        // Same ε target, tighter occurrence bound → no more absolute noise.
-        let node = SubsampledConfig {
-            max_occurrences: 12,
-            batch_size: 16,
-            container_size: 256,
-        };
-        let edge = SubsampledConfig {
-            max_occurrences: 3,
-            batch_size: 16,
-            container_size: 256,
-        };
-        let s_node = calibrate_sigma(3.0, 1e-5, &node, 80);
-        let s_edge = calibrate_sigma(3.0, 1e-5, &edge, 80);
-        assert!(
-            s_edge * 3.0 <= s_node * 12.0,
-            "edge-level absolute noise must not exceed node-level"
         );
     }
 

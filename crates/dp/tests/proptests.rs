@@ -165,14 +165,3 @@ fn gaussian_samples_are_finite() {
         }
     });
 }
-
-#[test]
-fn sml_vectors_are_finite_with_requested_dim() {
-    for_cases(|rng| {
-        let mut sampler = StdRng::seed_from_u64(rng.gen_range(0..1000usize) as u64);
-        let dim = rng.gen_range(1..64usize);
-        let v = privim_dp::mechanisms::symmetric_multivariate_laplace(&mut sampler, 1.0, dim);
-        assert_eq!(v.len(), dim);
-        assert!(v.iter().all(|x| x.is_finite()));
-    });
-}

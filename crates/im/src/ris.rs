@@ -1,6 +1,6 @@
 //! Reverse Influence Sampling (RIS / TIM / IMM family).
 //!
-//! The paper's related work singles out sampling-based IM methods [28] as
+//! The paper's related work singles out sampling-based IM methods \[28\] as
 //! the traditional approach balancing effectiveness and efficiency; this
 //! module implements that family as an additional non-private baseline and
 //! as an independent estimator of influence spread.

@@ -217,7 +217,7 @@ fn check_seeds_in_range(g: &Graph, seeds: &[NodeId]) -> Result<(), SpreadError> 
 /// Multi-threaded Monte Carlo spread estimate; deterministic for a given
 /// `seed` regardless of thread count.
 ///
-/// Trials are partitioned into fixed [`TRIAL_BLOCK`]-sized blocks; block
+/// Trials are partitioned into fixed `TRIAL_BLOCK`-sized blocks; block
 /// `b` always runs with the RNG derived from `(seed, b)`, and threads
 /// claim blocks from a shared counter. The per-block sums are integers,
 /// so the total is independent of which thread ran which block.

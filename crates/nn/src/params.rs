@@ -129,11 +129,6 @@ impl GradVec {
         &self.blocks
     }
 
-    /// Mutable per-parameter blocks.
-    pub fn blocks_mut(&mut self) -> &mut [Matrix] {
-        &mut self.blocks
-    }
-
     /// Total number of scalar entries across all blocks.
     pub fn num_entries(&self) -> usize {
         self.blocks.iter().map(|b| b.data().len()).sum()
@@ -240,9 +235,10 @@ mod tests {
 
     #[test]
     fn clip_reduces_long_vectors_only() {
-        let p = small_params();
-        let mut g = GradVec::zeros_like(&p);
-        g.blocks_mut()[0].data_mut().copy_from_slice(&[3.0, 4.0]); // norm 5
+        let mut g = GradVec::from_blocks(vec![
+            Matrix::from_vec(1, 2, vec![3.0, 4.0]), // norm 5
+            Matrix::zeros(2, 1),
+        ]);
         let pre = g.clip(10.0);
         assert_eq!(pre, 5.0);
         assert_eq!(g.blocks()[0].data(), &[3.0, 4.0]); // untouched

@@ -15,7 +15,7 @@
 //! header.
 //!
 //! Dumps — triggered by the panic hook ([`FlightRecorder::install_panic_hook`]),
-//! by fault-injection kill sites ([`record_kill_site`]), or by the
+//! by fault-injection kill sites (`record_kill_site`), or by the
 //! process's signal loop on SIGTERM — merge all rings in global push
 //! order and write one JSON object per line, so a crashed run's final
 //! moments are machine-parseable (`RunTelemetry::from_jsonl` skips the

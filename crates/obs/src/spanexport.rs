@@ -5,7 +5,7 @@
 //! `/debug/spans`) gets one [`SpanRecord`] per closed span, stamped
 //! with the process name and the active [`crate::TraceContext`] ids.
 //! Because every id in the tier is a pure splitmix64 function of the
-//! request id plus well-known child indices (see [`crate::trace`]),
+//! request id plus well-known child indices (see [`crate::trace`](mod@crate::trace)),
 //! records exported by *different* processes line up into one tree:
 //! the router's attempt span id equals the parent id the replica wrote
 //! for its request span, with no clock or global-counter coordination.
@@ -153,7 +153,7 @@ pub fn arm_span_export(process: &str, path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Arms the in-memory span ring (most recent [`RING_CAP`] spans),
+/// Arms the in-memory span ring (most recent `RING_CAP` spans),
 /// which debug endpoints serve as JSONL via [`spans_jsonl`]. A file
 /// sink armed earlier keeps running.
 pub fn arm_span_ring(process: &str) {

@@ -10,7 +10,7 @@
 //!      └─ queue full: 503 + Retry-After, close
 //! ```
 //!
-//! Shutdown sequence ([`ServerHandle::shutdown`]): set the stop flag →
+//! Shutdown sequence ([`Server::shutdown`]): set the stop flag →
 //! the acceptor stops accepting and closes the queue → workers drain the
 //! connections already accepted (answering their in-flight requests with
 //! `Connection: close`, closing *idle* keep-alive connections at once) →
@@ -201,7 +201,7 @@ struct Conn {
 }
 
 /// A running server; dropping the handle without calling
-/// [`ServerHandle::shutdown`] aborts ungracefully (threads are detached).
+/// [`Server::shutdown`] aborts ungracefully (threads are detached).
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -211,7 +211,7 @@ pub struct Server {
 
 impl Server {
     /// Binds and starts accepting. Worker and acceptor threads run until
-    /// [`ServerHandle::shutdown`]; the returned server is ready as soon
+    /// [`Server::shutdown`]; the returned server is ready as soon
     /// as this returns.
     pub fn start(config: ServerConfig, handler: Arc<dyn Handler>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
