@@ -214,9 +214,8 @@ pub fn run_audit(g: &Graph, dirs: &[String], cfg: &AuditConfig) -> Result<Vec<Au
         let store = CheckpointStore::open(dir, usize::MAX)
             .map_err(|e| format!("cannot open checkpoint dir {dir}: {e}"))?;
         let (tc, _path) = store
-            .load_latest_valid()
-            .map_err(|e| format!("cannot load checkpoint from {dir}: {e}"))?
-            .ok_or_else(|| format!("no valid checkpoint in {dir}"))?;
+            .latest_valid()
+            .map_err(|e| format!("cannot load checkpoint from {dir}: {e}"))?;
         privim_obs::counter("audit.checkpoints").add(1);
 
         let label = Path::new(dir)

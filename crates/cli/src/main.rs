@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use args::{Command, Flags};
-use privim_core::checkpoint::{CheckpointStore, SplitProvenance, TrainCheckpoint};
+use privim_core::checkpoint::{CheckpointError, CheckpointStore, SplitProvenance, TrainCheckpoint};
 use privim_core::config::PrivImConfig;
 use privim_core::pipeline::Method;
 use privim_core::resume::ResumeOptions;
@@ -662,16 +662,16 @@ fn train_crash_safe(
     use privim_core::resume::train_resumable;
 
     let store = CheckpointStore::open(dir, options.keep).map_err(|e| e.to_string())?;
-    if *must_resume
-        && store
-            .load_latest_valid()
-            .map_err(|e| e.to_string())?
-            .is_none()
-    {
-        return Err(format!(
-            "--resume {dir}: no valid checkpoint generation found \
-             (use --checkpoint-dir to start a fresh crash-safe run)"
-        ));
+    if *must_resume {
+        match store.latest_valid() {
+            Err(e @ CheckpointError::NoValidGeneration { .. }) => {
+                return Err(format!(
+                    "--resume {dir}: {e} (use --checkpoint-dir to start a fresh crash-safe run)"
+                ))
+            }
+            Err(e) => return Err(e.to_string()),
+            Ok(_) => {}
+        }
     }
 
     // Extraction is deterministic in (graph, seed), so every resume sees

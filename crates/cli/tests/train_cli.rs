@@ -228,6 +228,38 @@ fn run_err(dir: &Path, args: &[&str]) -> (bool, String) {
 }
 
 #[test]
+fn resume_from_a_store_whose_only_generation_is_corrupt_names_the_reason() {
+    let dir = workdir("corrupt-only");
+    let mut common = TRAIN.to_vec();
+    assert_eq!(common[5], "--iterations");
+    common[6] = "1";
+    common.extend(["--epsilon", "4"]);
+    privim(&dir, &with(&common, &["--checkpoint-dir", "ckpts"]));
+    let gen = CheckpointStore::open(dir.join("ckpts"), 1)
+        .unwrap()
+        .generations()
+        .unwrap();
+    assert_eq!(gen.len(), 1, "one iteration writes one generation");
+    // Rot the first payload bytes: the CRC rejects the only generation.
+    let mut only = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&gen[0].1)
+        .unwrap();
+    only.seek(SeekFrom::Start(20)).unwrap();
+    only.write_all(&[0xff; 4]).unwrap();
+    drop(only);
+    let (ok, stderr) = run_err(&dir, &with(&common, &["--resume", "ckpts"]));
+    assert!(!ok, "resume with nothing valid must fail");
+    assert!(
+        stderr.contains("no valid checkpoint generation found")
+            && stderr.contains(&format!("epoch {}", gen[0].0))
+            && stderr.contains("crc mismatch"),
+        "stderr must name the newest generation's failure:\n{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_under_another_method_is_refused() {
     // A run killed after generation 3 of a PrivIM* store, resumed with
     // `--method egn`, used to train the rest on EGN's container and

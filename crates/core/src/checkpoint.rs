@@ -61,6 +61,12 @@ pub enum CheckpointError {
         /// The fault site that fired.
         site: String,
     },
+    /// No generation in the store passes validation.
+    NoValidGeneration {
+        /// The newest generation's epoch and why it failed to load;
+        /// `None` when the store holds no generation at all.
+        newest: Option<(u64, String)>,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -69,6 +75,16 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
             CheckpointError::Killed { site } => write!(f, "killed at fault site {site}"),
+            CheckpointError::NoValidGeneration { newest: None } => {
+                f.write_str("no valid checkpoint generation found (the store holds none)")
+            }
+            CheckpointError::NoValidGeneration {
+                newest: Some((epoch, reason)),
+            } => write!(
+                f,
+                "no valid checkpoint generation found; the newest, epoch {epoch}, \
+                 is corrupt: {reason}"
+            ),
         }
     }
 }
@@ -604,12 +620,25 @@ impl CheckpointStore {
 
     /// Loads the newest generation that passes full validation, walking
     /// back through older generations when the latest is torn or rotted.
-    /// Returns `Ok(None)` when the store holds no loadable checkpoint.
+    /// Returns `Ok(None)` when the store holds no loadable checkpoint;
+    /// [`CheckpointStore::latest_valid`] says why.
     pub fn load_latest_valid(&self) -> Result<Option<(TrainCheckpoint, PathBuf)>, CheckpointError> {
+        match self.latest_valid() {
+            Ok(found) => Ok(Some(found)),
+            Err(CheckpointError::NoValidGeneration { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// [`CheckpointStore::load_latest_valid`], failing with
+    /// [`CheckpointError::NoValidGeneration`], which names why the newest
+    /// generation did not load, when no generation does.
+    pub fn latest_valid(&self) -> Result<(TrainCheckpoint, PathBuf), CheckpointError> {
         let gens = self.generations()?;
+        let mut newest = None;
         for (epoch, path) in gens.into_iter().rev() {
             match Self::load(&path) {
-                Ok(ckpt) => return Ok(Some((ckpt, path))),
+                Ok(ckpt) => return Ok((ckpt, path)),
                 Err(CheckpointError::Corrupt(msg)) => {
                     privim_obs::counter("checkpoint.corrupt_skipped").add(1);
                     privim_obs::warn!(
@@ -617,13 +646,14 @@ impl CheckpointStore {
                         "corrupt_generation_skipped",
                         epoch = epoch,
                         path = path.display().to_string(),
-                        reason = msg,
+                        reason = msg.as_str(),
                     );
+                    newest.get_or_insert((epoch, msg));
                 }
                 Err(other) => return Err(other),
             }
         }
-        Ok(None)
+        Err(CheckpointError::NoValidGeneration { newest })
     }
 
     /// Deletes all but the newest `keep` generations. Called only after
@@ -887,6 +917,12 @@ pub(crate) mod tests {
         let older = &store.generations().unwrap()[0].1;
         privim_obs::fault::truncate_tail(older, 10_000_000).unwrap();
         assert!(store.load_latest_valid().unwrap().is_none());
+        match store.latest_valid() {
+            Err(CheckpointError::NoValidGeneration {
+                newest: Some((2, reason)),
+            }) => assert!(reason.contains("crc mismatch"), "{reason}"),
+            other => panic!("expected no valid generation, got {other:?}"),
+        }
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

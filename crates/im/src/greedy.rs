@@ -14,7 +14,7 @@ use rand::Rng;
 
 use privim_graph::{Graph, NodeId};
 
-use crate::models::{simulate_cascade, DiffusionConfig};
+use crate::models::{CascadeScratch, DiffusionConfig};
 use crate::spread::{influence_spread_parallel, is_deterministic_one_step, mix_seed, SpreadError};
 
 /// Max-heap entry for CELF's lazy evaluation.
@@ -156,12 +156,13 @@ pub fn celf_monte_carlo<R: Rng + ?Sized>(
         return celf_coverage(g, k);
     }
     let mut scratch: Vec<NodeId> = Vec::with_capacity(k.min(g.num_nodes()) + 1);
+    let mut cascades = CascadeScratch::default();
     celf_lazy(g, k, |seeds, v| {
         scratch.clear();
         scratch.extend_from_slice(seeds);
         scratch.push(v);
         let total: usize = (0..trials)
-            .map(|_| simulate_cascade(g, &scratch, config, rng))
+            .map(|_| cascades.simulate(g, &scratch, config, rng))
             .sum();
         total as f64 / trials as f64
     })

@@ -41,7 +41,7 @@ pub use greedy::{
     celf_coverage, celf_monte_carlo, celf_monte_carlo_threaded, degree_heuristic, random_seeds,
 };
 pub use metrics::{coverage_ratio, mean_std, top_k_seeds};
-pub use models::{DiffusionConfig, DiffusionModel};
+pub use models::{CascadeScratch, DiffusionConfig, DiffusionModel};
 pub use monitoring::detection_rate;
 pub use ris::{ris_seed_selection, RrCollection};
 pub use spread::{influence_spread, influence_spread_parallel, SpreadError};

@@ -55,116 +55,192 @@ impl DiffusionConfig {
 }
 
 /// Runs a single stochastic cascade from `seeds`; returns the number of
-/// activated nodes (including the seeds).
+/// activated nodes (including the seeds). Loops over many cascades keep
+/// one [`CascadeScratch`] instead.
 pub fn simulate_cascade<R: Rng + ?Sized>(
     g: &Graph,
     seeds: &[NodeId],
     config: &DiffusionConfig,
     rng: &mut R,
 ) -> usize {
-    match config.model {
-        DiffusionModel::IndependentCascade => simulate_ic(g, seeds, config.max_steps, rng),
-        DiffusionModel::LinearThreshold => simulate_lt(g, seeds, config.max_steps, rng),
-        DiffusionModel::Sis { recovery } => {
-            simulate_sis(g, seeds, config.max_steps.unwrap_or(10), recovery, rng)
-        }
-    }
+    CascadeScratch::default().simulate(g, seeds, config, rng)
 }
 
-fn simulate_ic<R: Rng + ?Sized>(
-    g: &Graph,
-    seeds: &[NodeId],
-    max_steps: Option<usize>,
-    rng: &mut R,
-) -> usize {
-    let mut active = vec![false; g.num_nodes()];
-    let mut frontier: Vec<NodeId> = Vec::with_capacity(seeds.len());
-    let mut count = 0usize;
-    for &s in seeds {
-        if !active[s as usize] {
-            active[s as usize] = true;
-            frontier.push(s);
-            count += 1;
-        }
-    }
-    let mut next = Vec::new();
-    let mut step = 0usize;
-    while !frontier.is_empty() && max_steps.is_none_or(|m| step < m) {
-        next.clear();
-        for &u in &frontier {
-            for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
-                if !active[v as usize] && (w >= 1.0 || rng.gen::<f64>() < w) {
-                    active[v as usize] = true;
-                    next.push(v);
-                    count += 1;
-                }
+/// The state one cascade leaves behind for the next: epoch-stamped visit
+/// marks, so a trial starts without clearing a node array, and the
+/// frontier buffers. After the first trial on a graph, IC and LT trials
+/// allocate nothing. Draws from the RNG exactly as fresh state would.
+#[derive(Debug, Default)]
+pub struct CascadeScratch {
+    /// Stamp of the current trial; never 0 during one.
+    epoch: u32,
+    /// `mark[v] == epoch` ⇔ `v` is active in the current trial.
+    mark: Vec<u32>,
+    /// LT: `weight_in[v]` holds this trial's incoming active weight
+    /// while `seen[v] == epoch`, and counts as 0 otherwise.
+    seen: Vec<u32>,
+    weight_in: Vec<f64>,
+    /// LT: this trial's thresholds.
+    thresholds: Vec<f64>,
+    frontier: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl CascadeScratch {
+    /// Runs one cascade from `seeds`; returns the number of activated
+    /// nodes (including the seeds).
+    pub fn simulate<R: Rng + ?Sized>(
+        &mut self,
+        g: &Graph,
+        seeds: &[NodeId],
+        config: &DiffusionConfig,
+        rng: &mut R,
+    ) -> usize {
+        match config.model {
+            DiffusionModel::IndependentCascade => self.ic(g, seeds, config.max_steps, rng),
+            DiffusionModel::LinearThreshold => self.lt(g, seeds, config.max_steps, rng),
+            DiffusionModel::Sis { recovery } => {
+                let steps = config.max_steps.unwrap_or(10);
+                let ever = simulate_sis(g, seeds, steps, recovery, rng);
+                ever.iter().filter(|&&e| e).count()
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        step += 1;
     }
-    count
-}
 
-fn simulate_lt<R: Rng + ?Sized>(
-    g: &Graph,
-    seeds: &[NodeId],
-    max_steps: Option<usize>,
-    rng: &mut R,
-) -> usize {
-    let n = g.num_nodes();
-    let thresholds: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
-    let mut active = vec![false; n];
-    let mut weight_in = vec![0.0f64; n];
-    let mut frontier: Vec<NodeId> = Vec::new();
-    let mut count = 0usize;
-    for &s in seeds {
-        if !active[s as usize] {
-            active[s as usize] = true;
-            frontier.push(s);
-            count += 1;
+    /// Starts a trial on `n` nodes with the seeds active and on the
+    /// frontier; returns how many distinct seeds there are.
+    fn begin(&mut self, n: usize, seeds: &[NodeId]) -> usize {
+        if self.mark.len() != n {
+            // A node joins a frontier at most once per trial.
+            self.mark = vec![0; n];
+            self.frontier = Vec::with_capacity(n);
+            self.next = Vec::with_capacity(n);
+            self.seen.clear();
         }
-    }
-    let mut next = Vec::new();
-    let mut step = 0usize;
-    while !frontier.is_empty() && max_steps.is_none_or(|m| step < m) {
-        next.clear();
-        for &u in &frontier {
-            for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
-                if active[v as usize] {
-                    continue;
-                }
-                weight_in[v as usize] += w;
-                if weight_in[v as usize] >= thresholds[v as usize] {
-                    active[v as usize] = true;
-                    next.push(v);
-                    count += 1;
-                }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.frontier.clear();
+        let mut count = 0;
+        for &s in seeds {
+            if self.mark[s as usize] != self.epoch {
+                self.mark[s as usize] = self.epoch;
+                self.frontier.push(s);
+                count += 1;
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        step += 1;
+        count
     }
-    count
+
+    fn ic<R: Rng + ?Sized>(
+        &mut self,
+        g: &Graph,
+        seeds: &[NodeId],
+        max_steps: Option<usize>,
+        rng: &mut R,
+    ) -> usize {
+        let mut count = self.begin(g.num_nodes(), seeds);
+        let Self {
+            epoch,
+            mark,
+            frontier,
+            next,
+            ..
+        } = self;
+        let mut step = 0usize;
+        while !frontier.is_empty() && max_steps.is_none_or(|m| step < m) {
+            next.clear();
+            for &u in frontier.iter() {
+                for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
+                    let v_mark = &mut mark[v as usize];
+                    if *v_mark != *epoch && (w >= 1.0 || rng.gen::<f64>() < w) {
+                        *v_mark = *epoch;
+                        next.push(v);
+                        count += 1;
+                    }
+                }
+            }
+            std::mem::swap(frontier, next);
+            step += 1;
+        }
+        count
+    }
+
+    fn lt<R: Rng + ?Sized>(
+        &mut self,
+        g: &Graph,
+        seeds: &[NodeId],
+        max_steps: Option<usize>,
+        rng: &mut R,
+    ) -> usize {
+        let n = g.num_nodes();
+        self.thresholds.clear();
+        self.thresholds.extend((0..n).map(|_| rng.gen::<f64>()));
+        let mut count = self.begin(n, seeds);
+        if self.seen.len() != n {
+            self.seen = vec![0; n];
+            self.weight_in = vec![0.0; n];
+        }
+        let Self {
+            epoch,
+            mark,
+            seen,
+            weight_in,
+            thresholds,
+            frontier,
+            next,
+        } = self;
+        let mut step = 0usize;
+        while !frontier.is_empty() && max_steps.is_none_or(|m| step < m) {
+            next.clear();
+            for &u in frontier.iter() {
+                for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
+                    let v = v as usize;
+                    if mark[v] == *epoch {
+                        continue;
+                    }
+                    if seen[v] != *epoch {
+                        seen[v] = *epoch;
+                        weight_in[v] = 0.0;
+                    }
+                    weight_in[v] += w;
+                    if weight_in[v] >= thresholds[v] {
+                        mark[v] = *epoch;
+                        next.push(v as NodeId);
+                        count += 1;
+                    }
+                }
+            }
+            std::mem::swap(frontier, next);
+            step += 1;
+        }
+        count
+    }
+
+    /// The current trial's activation mask.
+    fn active(&self) -> Vec<bool> {
+        self.mark.iter().map(|&m| m == self.epoch).collect()
+    }
 }
 
+/// SIS from `seeds` for `steps` steps; returns the mask of nodes ever
+/// infected.
 fn simulate_sis<R: Rng + ?Sized>(
     g: &Graph,
     seeds: &[NodeId],
     steps: usize,
     recovery: f64,
     rng: &mut R,
-) -> usize {
+) -> Vec<bool> {
     let n = g.num_nodes();
     let mut infected = vec![false; n];
     let mut ever = vec![false; n];
-    let mut count = 0usize;
     for &s in seeds {
         infected[s as usize] = true;
-        if !ever[s as usize] {
-            ever[s as usize] = true;
-            count += 1;
-        }
+        ever[s as usize] = true;
     }
     for _ in 0..steps {
         let snapshot = infected.clone();
@@ -175,10 +251,7 @@ fn simulate_sis<R: Rng + ?Sized>(
             for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
                 if !snapshot[v as usize] && (w >= 1.0 || rng.gen::<f64>() < w) {
                     infected[v as usize] = true;
-                    if !ever[v as usize] {
-                        ever[v as usize] = true;
-                        count += 1;
-                    }
+                    ever[v as usize] = true;
                 }
             }
             if rng.gen::<f64>() < recovery {
@@ -186,7 +259,7 @@ fn simulate_sis<R: Rng + ?Sized>(
             }
         }
     }
-    count
+    ever
 }
 
 /// Like [`simulate_cascade`] but returns the activation mask (`true` for
@@ -200,92 +273,13 @@ pub fn simulate_cascade_mask<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<bool> {
     match config.model {
-        DiffusionModel::IndependentCascade => {
-            let mut active = vec![false; g.num_nodes()];
-            let mut frontier: Vec<NodeId> = Vec::new();
-            for &s in seeds {
-                if !active[s as usize] {
-                    active[s as usize] = true;
-                    frontier.push(s);
-                }
-            }
-            let mut next = Vec::new();
-            let mut step = 0usize;
-            while !frontier.is_empty() && config.max_steps.is_none_or(|m| step < m) {
-                next.clear();
-                for &u in &frontier {
-                    for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
-                        if !active[v as usize] && (w >= 1.0 || rng.gen::<f64>() < w) {
-                            active[v as usize] = true;
-                            next.push(v);
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-                step += 1;
-            }
-            active
-        }
-        DiffusionModel::LinearThreshold => {
-            let n = g.num_nodes();
-            let thresholds: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
-            let mut active = vec![false; n];
-            let mut weight_in = vec![0.0f64; n];
-            let mut frontier: Vec<NodeId> = Vec::new();
-            for &s in seeds {
-                if !active[s as usize] {
-                    active[s as usize] = true;
-                    frontier.push(s);
-                }
-            }
-            let mut next = Vec::new();
-            let mut step = 0usize;
-            while !frontier.is_empty() && config.max_steps.is_none_or(|m| step < m) {
-                next.clear();
-                for &u in &frontier {
-                    for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
-                        if active[v as usize] {
-                            continue;
-                        }
-                        weight_in[v as usize] += w;
-                        if weight_in[v as usize] >= thresholds[v as usize] {
-                            active[v as usize] = true;
-                            next.push(v);
-                        }
-                    }
-                }
-                std::mem::swap(&mut frontier, &mut next);
-                step += 1;
-            }
-            active
-        }
         DiffusionModel::Sis { recovery } => {
-            let n = g.num_nodes();
-            let steps = config.max_steps.unwrap_or(10);
-            let mut infected = vec![false; n];
-            let mut ever = vec![false; n];
-            for &s in seeds {
-                infected[s as usize] = true;
-                ever[s as usize] = true;
-            }
-            for _ in 0..steps {
-                let snapshot = infected.clone();
-                for u in 0..n as NodeId {
-                    if !snapshot[u as usize] {
-                        continue;
-                    }
-                    for (&v, &w) in g.out_neighbors(u).iter().zip(g.out_weights(u)) {
-                        if !snapshot[v as usize] && (w >= 1.0 || rng.gen::<f64>() < w) {
-                            infected[v as usize] = true;
-                            ever[v as usize] = true;
-                        }
-                    }
-                    if rng.gen::<f64>() < recovery {
-                        infected[u as usize] = false;
-                    }
-                }
-            }
-            ever
+            simulate_sis(g, seeds, config.max_steps.unwrap_or(10), recovery, rng)
+        }
+        _ => {
+            let mut scratch = CascadeScratch::default();
+            scratch.simulate(g, seeds, config, rng);
+            scratch.active()
         }
     }
 }
@@ -453,6 +447,28 @@ mod tests {
             assert!(c >= prev);
             assert!(c <= 8);
             prev = c;
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_matches_fresh_state_across_graphs_and_models() {
+        let lt = DiffusionConfig {
+            model: DiffusionModel::LinearThreshold,
+            max_steps: None,
+        };
+        let runs = [
+            (path(12, 0.6), DiffusionConfig::ic_unbounded()),
+            (star_out(5), lt),
+            (path(12, 0.6), lt),
+            (star_out(5), DiffusionConfig::ic_with_steps(1)),
+        ];
+        let mut scratch = CascadeScratch::default();
+        let (mut reused, mut fresh) = (StdRng::seed_from_u64(4), StdRng::seed_from_u64(4));
+        for (g, cfg) in runs.iter().cycle().take(40) {
+            let a = scratch.simulate(g, &[0, 2], cfg, &mut reused);
+            assert_eq!(a, simulate_cascade(g, &[0, 2], cfg, &mut fresh));
+            let mask = scratch.active();
+            assert_eq!(mask.iter().filter(|&&m| m).count(), a);
         }
     }
 }

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use privim_graph::{Graph, NodeId};
 
 use crate::models::{
-    deterministic_one_step_coverage, simulate_cascade, DiffusionConfig, DiffusionModel,
+    deterministic_one_step_coverage, CascadeScratch, DiffusionConfig, DiffusionModel,
 };
 
 /// True if every edge weight is (at least) 1, making IC deterministic.
@@ -41,10 +41,11 @@ pub fn influence_spread<R: Rng + ?Sized>(
     // item counter (not flops/bytes) is the unit of throughput here.
     prof.add_work(0, 0, trials as u64);
     let started = std::time::Instant::now();
+    let mut scratch = CascadeScratch::default();
     let total: usize = (0..trials)
         .map(|_| {
             let trial = timed_trial_start();
-            let n = simulate_cascade(g, seeds, config, rng);
+            let n = scratch.simulate(g, seeds, config, rng);
             timed_trial_end(trial);
             n
         })
@@ -139,10 +140,11 @@ pub fn influence_spread_with_ci<R: Rng + ?Sized>(
     // item counter (not flops/bytes) is the unit of throughput here.
     prof.add_work(0, 0, trials as u64);
     let started = std::time::Instant::now();
+    let mut scratch = CascadeScratch::default();
     let samples: Vec<f64> = (0..trials)
         .map(|_| {
             let trial = timed_trial_start();
-            let n = simulate_cascade(g, seeds, config, rng);
+            let n = scratch.simulate(g, seeds, config, rng);
             timed_trial_end(trial);
             n as f64
         })
@@ -266,6 +268,9 @@ pub fn influence_spread_parallel(
                     let worker = move || {
                         let mut local = 0usize;
                         let mut blocks = 0usize;
+                        // Cascades leave no trace in their scratch, so
+                        // every block this worker runs shares one.
+                        let mut scratch = CascadeScratch::default();
                         loop {
                             let b = next_block.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             if b >= n_blocks {
@@ -284,7 +289,7 @@ pub fn influence_spread_parallel(
                             let quota = TRIAL_BLOCK.min(trials - b * TRIAL_BLOCK);
                             let mut rng = StdRng::seed_from_u64(mix_seed(seed, b as u64));
                             local += (0..quota)
-                                .map(|_| simulate_cascade(g, seeds, config, &mut rng))
+                                .map(|_| scratch.simulate(g, seeds, config, &mut rng))
                                 .sum::<usize>();
                         }
                     };
@@ -305,6 +310,7 @@ pub fn influence_spread_parallel(
 mod tests {
     use super::*;
     use privim_graph::GraphBuilder;
+    use rand::Rng;
 
     fn two_hop_chain() -> Graph {
         let mut b = GraphBuilder::new(3);
@@ -484,5 +490,55 @@ mod tests {
         let cfg = DiffusionConfig::ic_unbounded();
         let s = influence_spread_parallel(&g, &[0], &cfg, 3, 64, 1).unwrap();
         assert!((1.0..=3.0).contains(&s));
+    }
+
+    /// A seeded 80-node graph with IC probabilities in (0.05, 0.6) and
+    /// LT weights summing to at most 1 per node, so every trial draws.
+    fn seeded_graph() -> Graph {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let n = 80u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for _ in 0..400 {
+            let (v, u) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if v != u {
+                b.add_edge(v, u, rng.gen_range(0.01..0.2));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn seeded_estimates_keep_their_bits() {
+        // Golden bits: a change to how cascades keep their scratch state
+        // must not move one RNG draw.
+        let g = seeded_graph();
+        let seeds = [0, 7, 19];
+        let lt = DiffusionConfig {
+            model: DiffusionModel::LinearThreshold,
+            max_steps: None,
+        };
+        let mut got = Vec::new();
+        for cfg in [DiffusionConfig::ic_unbounded(), lt] {
+            let mut rng = StdRng::seed_from_u64(5);
+            got.push(influence_spread(&g, &seeds, &cfg, 300, &mut rng).to_bits());
+            let est = influence_spread_with_ci(&g, &seeds, &cfg, 300, 1.96, &mut rng);
+            got.push(est.mean.to_bits());
+            got.push(est.half_width.to_bits());
+            let par = influence_spread_parallel(&g, &seeds, &cfg, 700, 2, 11).unwrap();
+            got.push(par.to_bits());
+        }
+        assert_eq!(
+            got,
+            [
+                4618415146870617320,
+                4618493959864096304,
+                4599560667454857561,
+                4618549182573812871,
+                4618722892845154304,
+                4618636573852296369,
+                4601136054592076897,
+                4618722892845154304,
+            ]
+        );
     }
 }

@@ -85,9 +85,12 @@ impl Tape {
 
     /// Scales row `i` of `h` by the fixed coefficient `scale[i]`.
     pub fn row_scale_fixed(&mut self, h: Var, scale: Arc<Vec<f64>>) -> Var {
-        let hv = self.value(h);
-        assert_eq!(hv.rows(), scale.len(), "scale length must equal rows");
-        let mut out = hv.clone();
+        assert_eq!(
+            self.value(h).rows(),
+            scale.len(),
+            "scale length must equal rows"
+        );
+        let mut out = self.value_to_overwrite(h);
         for r in 0..out.rows() {
             let c = scale[r];
             for x in out.row_mut(r) {
@@ -184,7 +187,7 @@ impl Tape {
         let (e_rows, d) = self.value(v).shape();
         assert_eq!(self.value(s).shape(), (e_rows, 1), "s must be E x 1");
         let sv = self.value(s).data().to_vec();
-        let mut out = self.value(v).clone();
+        let mut out = self.value_to_overwrite(v);
         for (r, &c) in sv.iter().enumerate().take(e_rows) {
             for x in out.row_mut(r) {
                 *x *= c;
@@ -294,9 +297,12 @@ impl Tape {
         // normalize (div) — 5 flops/edge counting exp as one.
         let e64 = segment.len() as u64;
         prof.add_work(5 * e64, 52 * e64, e64);
-        let sv = self.value(scores);
-        assert_eq!(sv.shape(), (segment.len(), 1), "scores must be E x 1");
-        let mut out = sv.clone();
+        assert_eq!(
+            self.value(scores).shape(),
+            (segment.len(), 1),
+            "scores must be E x 1"
+        );
+        let mut out = self.value_to_overwrite(scores);
         softmax_segments(out.data_mut(), &segment, n_segments, 1);
         let bseg = Arc::clone(&segment);
         self.push(

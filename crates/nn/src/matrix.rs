@@ -10,8 +10,8 @@ use std::ops::{Index, IndexMut};
 
 use crate::par;
 
-/// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq)]
+/// A dense row-major matrix of `f64`; the default is 0×0.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -21,11 +21,13 @@ pub struct Matrix {
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        // Written, not allocated zeroed: the kernels add into their
+        // output (`o += …`), and a fresh page from the OS that is read
+        // before it is written faults twice, once to map the shared zero
+        // page and once more to copy it on the write.
+        let mut data = Vec::with_capacity(rows * cols);
+        data.resize(rows * cols, 0.0);
+        Matrix { rows, cols, data }
     }
 
     /// A `rows × cols` matrix filled with `value`.

@@ -96,7 +96,8 @@ pub trait GnnModel: Sync {
     fn forward(&self, tape: &mut Tape, gt: &GraphTensors, pv: &[Var]) -> Var;
 
     /// Convenience inference: runs `forward` on a throwaway
-    /// [`Tape::no_grad`] tape, which keeps no backward state, and
+    /// [`Tape::no_grad`] tape, which keeps no backward state and frees
+    /// each value the forward [`Tape::release`]s at its last read, and
     /// extracts the probabilities.
     fn seed_probabilities(&self, gt: &GraphTensors) -> Vec<f64> {
         let mut tape = Tape::no_grad();
@@ -199,8 +200,11 @@ impl Linear {
         Linear { w, b }
     }
 
+    /// `x·W + b`, the bias added in place on a no_grad tape. The caller
+    /// releases `x` when this is its last reader.
     fn apply(&self, tape: &mut Tape, pv: &[Var], x: Var) -> Var {
         let z = tape.matmul(x, pv[self.w]);
+        tape.release(z);
         tape.add_row_broadcast(z, pv[self.b])
     }
 }
@@ -236,11 +240,17 @@ fn is_last(l: usize, n_layers: usize) -> f64 {
 /// leaving the usable probability range (σ(±6) ≈ 0.25%–99.75%) intact.
 const LOGIT_BOUND: f64 = 6.0;
 
+/// The layer's activation of `z`, its last use: on a no_grad tape every
+/// step writes into `z`'s buffer.
 fn activate(tape: &mut Tape, z: Var, last: bool) -> Var {
+    tape.release(z);
     if last {
         let scaled = tape.scale(z, 1.0 / LOGIT_BOUND);
+        tape.release(scaled);
         let squashed = tape.tanh(scaled);
+        tape.release(squashed);
         let bounded = tape.scale(squashed, LOGIT_BOUND);
+        tape.release(bounded);
         tape.sigmoid(bounded)
     } else {
         tape.leaky_relu(z, HIDDEN_SLOPE)
@@ -302,8 +312,12 @@ impl GnnModel for Gcn {
                 Arc::clone(&gt.gcn_coeff),
                 gt.num_nodes,
             );
+            tape.release(h);
             let self_term = tape.row_scale_fixed(h, Arc::clone(&gt.gcn_self));
+            tape.release(agg);
+            tape.release(self_term);
             let combined = tape.add(agg, self_term);
+            tape.release(combined);
             let z = lin.apply(tape, pv, combined);
             h = activate(tape, z, l + 1 == n_layers);
         }
@@ -367,7 +381,10 @@ impl GnnModel for GraphSage {
                 Arc::clone(&gt.mean_coeff),
                 gt.num_nodes,
             );
+            tape.release(h);
+            tape.release(mean);
             let cat = tape.concat_cols(h, mean);
+            tape.release(cat);
             let z = lin.apply(tape, pv, cat);
             h = activate(tape, z, l + 1 == n_layers);
         }
@@ -457,13 +474,11 @@ impl Attention {
         lin: &Linear,
         att_param: usize,
     ) -> Var {
-        let wh = {
-            let z = tape.matmul(h, pv[lin.w]);
-            tape.add_row_broadcast(z, pv[lin.b])
-        };
+        let wh = lin.apply(tape, pv, h);
         // The residual self connection (`agg + wh`) keeps isolated nodes
         // informative and plays the role of GAT's customary self-loop.
         if gt.num_edges() > 0 {
+            tape.release(wh);
             let group = if self.source_normalized {
                 &gt.src
             } else {
@@ -479,7 +494,10 @@ impl Attention {
                 ATTENTION_SLOPE,
             )
         } else {
+            // `wh` has two readers: release it only for the second.
             let agg = tape.scale(wh, 0.0);
+            tape.release(agg);
+            tape.release(wh);
             tape.add(agg, wh)
         }
     }
@@ -506,17 +524,29 @@ impl GnnModel for Attention {
         let mut h = tape.leaf(gt.features.clone());
         let n_layers = self.linears.len();
         for l in 0..n_layers {
-            let head_outputs: Vec<Var> = self.linears[l]
-                .iter()
-                .zip(&self.att[l])
-                .map(|(lin, &att)| self.head_forward(tape, gt, pv, h, lin, att))
-                .collect();
-            let mut z = head_outputs[0];
-            for &extra in &head_outputs[1..] {
-                z = tape.add(z, extra);
+            let n_heads = self.linears[l].len();
+            // Heads are summed as they come, so a no_grad tape holds one
+            // running sum, not every head's output.
+            let mut sum = None;
+            for (i, (lin, &att)) in self.linears[l].iter().zip(&self.att[l]).enumerate() {
+                // Every head reads `h`; the last one frees it.
+                if i + 1 == n_heads {
+                    tape.release(h);
+                }
+                let head = self.head_forward(tape, gt, pv, h, lin, att);
+                sum = Some(match sum {
+                    None => head,
+                    Some(z) => {
+                        tape.release(z);
+                        tape.release(head);
+                        tape.add(z, head)
+                    }
+                });
             }
-            if head_outputs.len() > 1 {
-                z = tape.scale(z, 1.0 / head_outputs.len() as f64);
+            let mut z = sum.expect("with_heads asserts at least one head");
+            if n_heads > 1 {
+                tape.release(z);
+                z = tape.scale(z, 1.0 / n_heads as f64);
             }
             h = activate(tape, z, l + 1 == n_layers);
         }
@@ -598,10 +628,16 @@ impl GnnModel for Gin {
                 gt.num_nodes,
             );
             let one_plus = tape.add_scalar(pv[self.omega[l]], 1.0);
+            tape.release(h);
             let self_term = tape.scale_by_var(h, one_plus);
+            tape.release(agg);
+            tape.release(self_term);
             let s = tape.add(agg, self_term);
+            tape.release(s);
             let z1 = self.mlp1[l].apply(tape, pv, s);
+            tape.release(z1);
             let z1 = tape.leaky_relu(z1, HIDDEN_SLOPE);
+            tape.release(z1);
             let z2 = self.mlp2[l].apply(tape, pv, z1);
             h = activate(tape, z2, l + 1 == n_layers);
         }
@@ -658,6 +694,7 @@ impl GnnModel for Mlp {
         let mut h = tape.leaf(gt.features.clone());
         let n_layers = self.linears.len();
         for (l, lin) in self.linears.iter().enumerate() {
+            tape.release(h);
             let z = lin.apply(tape, pv, h);
             h = activate(tape, z, l + 1 == n_layers);
         }
@@ -718,11 +755,45 @@ mod tests {
         }
     }
 
+    /// The six models plus three-head GAT and GRAT, built for `in_dim`.
+    fn every_model(rng: &mut StdRng, in_dim: usize, hidden: usize) -> Vec<Box<dyn GnnModel>> {
+        let mut models: Vec<Box<dyn GnnModel>> = ModelKind::ALL
+            .iter()
+            .map(|&kind| build_model(kind, in_dim, hidden, 3, rng))
+            .collect();
+        let dims = [in_dim, hidden, hidden, 1];
+        for source_normalized in [false, true] {
+            models.push(Box::new(Attention::with_heads(
+                &dims,
+                rng,
+                source_normalized,
+                3,
+            )));
+        }
+        models
+    }
+
+    /// Panics unless `model`'s no_grad inference on `gt` equals its
+    /// forward on a recording tape, bit for bit.
+    fn assert_no_grad_matches_recording(model: &dyn GnnModel, gt: &GraphTensors, what: &str) {
+        let mut tape = Tape::new();
+        let pv = model.params().bind(&mut tape);
+        let out = model.forward(&mut tape, gt, &pv);
+        let recorded: Vec<u64> = tape.value(out).data().iter().map(|p| p.to_bits()).collect();
+        let inferred: Vec<u64> = model
+            .seed_probabilities(gt)
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
+        assert_eq!(inferred, recorded, "{} {what}", model.kind());
+    }
+
     #[test]
     fn no_grad_inference_is_bit_equal_to_a_recording_tape() {
         // A random graph with mixed in- and out-degrees, so every
         // aggregation (GCN, mean, sum, both attention normalizations)
-        // has uneven rows.
+        // has uneven rows; and an edgeless one, where attention reads
+        // each head's `wh` twice.
         let mut rng = StdRng::seed_from_u64(23);
         let mut b = GraphBuilder::new(12);
         for v in 0..12u32 {
@@ -732,19 +803,20 @@ mod tests {
                 }
             }
         }
-        let gt = GraphTensors::with_structural_features(&b.build(), 4);
-        for kind in ModelKind::ALL {
-            let model = build_model(kind, 4, 8, 3, &mut rng);
-            let mut tape = Tape::new();
-            let pv = model.params().bind(&mut tape);
-            let out = model.forward(&mut tape, &gt, &pv);
-            let recorded: Vec<u64> = tape.value(out).data().iter().map(|p| p.to_bits()).collect();
-            let inferred: Vec<u64> = model
-                .seed_probabilities(&gt)
-                .iter()
-                .map(|p| p.to_bits())
-                .collect();
-            assert_eq!(inferred, recorded, "{kind}");
+        let graphs = [
+            (
+                "random",
+                GraphTensors::with_structural_features(&b.build(), 4),
+            ),
+            (
+                "edgeless",
+                GraphTensors::with_structural_features(&privim_graph::Graph::empty(7), 4),
+            ),
+        ];
+        for (what, gt) in &graphs {
+            for model in every_model(&mut rng, 4, 8) {
+                assert_no_grad_matches_recording(model.as_ref(), gt, what);
+            }
         }
     }
 
@@ -765,8 +837,8 @@ mod tests {
         let gt = GraphTensors::with_structural_features(&b.build(), 8);
         assert!(gt.num_edges() * 32 >= crate::par::WORK_FLOOR);
         assert!(gt.num_edges() * 8 < crate::par::WORK_FLOOR);
-        for kind in ModelKind::ALL {
-            let model = build_model(kind, 8, 32, 3, &mut rng);
+        for model in every_model(&mut rng, 8, 32) {
+            let kind = model.kind();
             let bits = |threads| {
                 crate::par::with_threads(threads, || model.seed_probabilities(&gt))
                     .iter()

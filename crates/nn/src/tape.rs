@@ -8,6 +8,12 @@
 //!
 //! Dense ops live here; sparse message-passing ops live in
 //! [`crate::graph_ops`].
+//!
+//! A [`Tape::no_grad`] tape frees what a forward pass no longer needs:
+//! [`Tape::release`] names a value's last reader, which writes an
+//! elementwise result into the value's buffer or drops it once read, so
+//! a graph-scale forward keeps a layer's inputs and outputs live, not
+//! every value it ever made.
 
 use std::sync::Arc;
 
@@ -36,6 +42,18 @@ struct Node {
     value: Matrix,
     parents: Vec<usize>,
     backward: Option<BackwardFn>,
+    life: Life,
+}
+
+/// Where a value stands under [`Tape::release`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Life {
+    /// Readable by any number of ops.
+    Live,
+    /// Released: the next op that reads it is its last reader.
+    LastRead,
+    /// Its last reader ran and took or dropped its buffer.
+    Freed,
 }
 
 /// Records a computation DAG for reverse-mode differentiation.
@@ -127,8 +145,78 @@ impl Tape {
     }
 
     /// The current value of `v`.
+    ///
+    /// # Panics
+    /// If `v` was released on a [`Tape::no_grad`] tape and its last
+    /// reader has run: its buffer is gone.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+        let node = &self.nodes[v.0];
+        assert!(
+            node.life != Life::Freed,
+            "Var({}) read after its last reader on a no_grad tape (see Tape::release)",
+            v.0
+        );
+        &node.value
+    }
+
+    /// Marks the next op that reads `v` as its last reader. On a
+    /// [`Tape::no_grad`] tape that op takes `v`'s buffer: an elementwise
+    /// op writes its result into it, any other op drops it once read,
+    /// and any later read of `v` panics. Release a value read by several
+    /// ops only before the last of them. A recording tape keeps every
+    /// value for [`Tape::backward`], so there it does nothing.
+    pub fn release(&mut self, v: Var) {
+        if self.no_grad {
+            // Releasing a freed value reads it after its last reader.
+            self.value(v);
+            self.nodes[v.0].life = Life::LastRead;
+        }
+    }
+
+    /// `a`'s buffer, when `a` is released and the calling op, its last
+    /// reader, may write into it.
+    fn take_released(&mut self, a: Var) -> Option<Matrix> {
+        let node = &mut self.nodes[a.0];
+        (node.life == Life::LastRead).then(|| {
+            node.life = Life::Freed;
+            std::mem::take(&mut node.value)
+        })
+    }
+
+    /// `a`'s value, for an op that changes it in place: its own buffer
+    /// when released, else a copy.
+    pub(crate) fn value_to_overwrite(&mut self, a: Var) -> Matrix {
+        match self.take_released(a) {
+            Some(m) => m,
+            None => self.value(a).clone(),
+        }
+    }
+
+    /// `f` of every entry of `a`, in `a`'s buffer when it is released.
+    fn map_value(&mut self, a: Var, f: impl Fn(f64) -> f64) -> Matrix {
+        match self.take_released(a) {
+            Some(mut m) => {
+                m.data_mut().iter_mut().for_each(|x| *x = f(*x));
+                m
+            }
+            None => self.value(a).map(f),
+        }
+    }
+
+    /// `f` of `a` and `b` entry by entry, in `a`'s buffer when `a` is
+    /// released and is not also `b`.
+    fn zip_value(&mut self, a: Var, b: Var, f: impl Fn(f64, f64) -> f64) -> Matrix {
+        let shape = self.value(b).shape();
+        assert_eq!(self.value(a).shape(), shape, "zip_map shape mismatch");
+        let taken = if a != b { self.take_released(a) } else { None };
+        match taken {
+            Some(mut m) => {
+                let lanes = m.data_mut().iter_mut().zip(self.value(b).data());
+                lanes.for_each(|(x, &y)| *x = f(*x, y));
+                m
+            }
+            None => self.value(a).zip_map(self.value(b), f),
+        }
     }
 
     /// Records a leaf (input or parameter). Gradients flow into leaves.
@@ -146,6 +234,10 @@ impl Tape {
         // profile: the training loop's non-finite guard owns that
         // condition (it skips the step and aborts a divergent streak).
         let (parents, backward) = if self.no_grad {
+            // This op was the last reader of its released parents.
+            for &p in &parents {
+                drop(self.take_released(Var(p)));
+            }
             (Vec::new(), None)
         } else {
             (parents, backward)
@@ -154,6 +246,7 @@ impl Tape {
             value,
             parents,
             backward,
+            life: Life::Live,
         });
         Var(self.nodes.len() - 1)
     }
@@ -207,7 +300,7 @@ impl Tape {
 
     /// `a + b` (identical shapes).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).zip_map(self.value(b), |x, y| x + y);
+        let value = self.zip_value(a, b, |x, y| x + y);
         self.push(
             value,
             vec![a.0, b.0],
@@ -217,7 +310,7 @@ impl Tape {
 
     /// `a - b` (identical shapes).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).zip_map(self.value(b), |x, y| x - y);
+        let value = self.zip_value(a, b, |x, y| x - y);
         self.push(
             value,
             vec![a.0, b.0],
@@ -227,7 +320,7 @@ impl Tape {
 
     /// Elementwise `a ⊙ b` (identical shapes).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).zip_map(self.value(b), |x, y| x * y);
+        let value = self.zip_value(a, b, |x, y| x * y);
         self.push(
             value,
             vec![a.0, b.0],
@@ -242,7 +335,7 @@ impl Tape {
 
     /// `c * a` for a constant `c`.
     pub fn scale(&mut self, a: Var, c: f64) -> Var {
-        let value = self.value(a).map(|x| c * x);
+        let value = self.map_value(a, |x| c * x);
         self.push(
             value,
             vec![a.0],
@@ -252,7 +345,7 @@ impl Tape {
 
     /// `a + c` for a constant `c` (elementwise).
     pub fn add_scalar(&mut self, a: Var, c: f64) -> Var {
-        let value = self.value(a).map(|x| x + c);
+        let value = self.map_value(a, |x| x + c);
         self.push(
             value,
             vec![a.0],
@@ -262,7 +355,7 @@ impl Tape {
 
     /// `1 - a` (elementwise); common in the diffusion loss.
     pub fn one_minus(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 - x);
+        let value = self.map_value(a, |x| 1.0 - x);
         self.push(
             value,
             vec![a.0],
@@ -302,7 +395,7 @@ impl Tape {
         let (n, d) = self.value(a).shape();
         assert_eq!(self.value(bias).shape(), (1, d), "bias must be 1 x cols(a)");
         let bias_row = self.value(bias).row(0).to_vec();
-        let mut value = self.value(a).clone();
+        let mut value = self.value_to_overwrite(a);
         for r in 0..n {
             for (v, &b) in value.row_mut(r).iter_mut().zip(&bias_row) {
                 *v += b;
@@ -332,7 +425,7 @@ impl Tape {
             "scale_by_var needs 1x1 scalar"
         );
         let c = self.value(s).as_scalar();
-        let value = self.value(a).map(|x| c * x);
+        let value = self.map_value(a, |x| c * x);
         self.push(
             value,
             vec![a.0, s.0],
@@ -347,7 +440,7 @@ impl Tape {
 
     /// ReLU.
     pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x.max(0.0));
+        let value = self.map_value(a, |x| x.max(0.0));
         self.push(
             value,
             vec![a.0],
@@ -361,7 +454,7 @@ impl Tape {
 
     /// LeakyReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, a: Var, alpha: f64) -> Var {
-        let value = self.value(a).map(|x| if x > 0.0 { x } else { alpha * x });
+        let value = self.map_value(a, |x| if x > 0.0 { x } else { alpha * x });
         self.push(
             value,
             vec![a.0],
@@ -375,7 +468,7 @@ impl Tape {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.map_value(a, |x| 1.0 / (1.0 + (-x).exp()));
         self.push(
             value,
             vec![a.0],
@@ -387,7 +480,7 @@ impl Tape {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f64::tanh);
+        let value = self.map_value(a, f64::tanh);
         self.push(
             value,
             vec![a.0],
@@ -403,7 +496,7 @@ impl Tape {
     /// Used as the paper's φ that maps the truncated-sum diffusion
     /// probability `min(1, Σ w·x)` into `[0, 1]` (Theorem 2).
     pub fn clamp(&mut self, a: Var, lo: f64, hi: f64) -> Var {
-        let value = self.value(a).map(|x| x.clamp(lo, hi));
+        let value = self.map_value(a, |x| x.clamp(lo, hi));
         self.push(
             value,
             vec![a.0],
@@ -548,6 +641,86 @@ mod tests {
         let a = t.leaf(Matrix::scalar(1.0));
         let loss = t.scale(a, 2.0);
         t.backward(loss);
+    }
+
+    #[test]
+    fn a_released_value_is_overwritten_by_its_elementwise_last_reader() {
+        let mut t = Tape::no_grad();
+        let a = t.leaf(Matrix::from_vec(1, 3, vec![-1.0, 0.5, 2.0]));
+        let b = t.leaf(Matrix::filled(1, 3, 1.0));
+        let buf = t.value(a).data().as_ptr();
+        t.release(a);
+        let s = t.leaky_relu(a, 0.5);
+        assert_eq!(t.value(s).data(), &[-0.5, 0.5, 2.0]);
+        assert_eq!(t.value(s).data().as_ptr(), buf, "map wrote a fresh buffer");
+        // A zip op writes into its released first operand and frees a
+        // released second one.
+        t.release(s);
+        t.release(b);
+        let d = t.sub(s, b);
+        assert_eq!(t.value(d).data(), &[-1.5, -0.5, 1.0]);
+        assert_eq!(t.value(d).data().as_ptr(), buf, "zip wrote a fresh buffer");
+        assert_eq!(t.nodes[b.0].life, Life::Freed);
+    }
+
+    #[test]
+    #[should_panic(expected = "after its last reader")]
+    fn reading_a_released_value_after_its_last_reader_panics() {
+        let mut t = Tape::no_grad();
+        let a = t.leaf(Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
+        let w = t.leaf(Matrix::filled(2, 2, 0.5));
+        t.release(a);
+        let _ = t.matmul(a, w);
+        let _ = t.value(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "after its last reader")]
+    fn an_op_reading_a_freed_value_panics() {
+        let mut t = Tape::no_grad();
+        let a = t.leaf(Matrix::filled(2, 2, 1.0));
+        t.release(a);
+        let _ = t.tanh(a);
+        let _ = t.add(a, a);
+    }
+
+    #[test]
+    fn release_on_a_recording_tape_leaves_backward_unchanged() {
+        let run = |release: bool| {
+            let mut t = Tape::new();
+            let x = t.leaf(Matrix::from_vec(2, 3, vec![0.3, -1.2, 0.8, 2.0, -0.1, 0.0]));
+            let w = t.leaf(Matrix::from_vec(3, 2, vec![0.5, -0.7, 1.1, 0.2, -0.4, 0.9]));
+            let b = t.leaf(Matrix::from_vec(1, 2, vec![0.1, -0.2]));
+            let z = t.matmul(x, w);
+            if release {
+                t.release(x);
+                t.release(z);
+            }
+            let z = t.add_row_broadcast(z, b);
+            if release {
+                t.release(z);
+            }
+            let y = t.leaky_relu(z, 0.01);
+            let s = t.sigmoid(y);
+            if release {
+                t.release(y);
+                t.release(s);
+            }
+            let m = t.mul(y, s);
+            let loss = t.sum(m);
+            let g = t.backward(loss);
+            let bits = |v: Var| -> Vec<u64> {
+                let data = g.get(v).unwrap().data();
+                data.iter().map(|x| x.to_bits()).collect()
+            };
+            (
+                t.value(loss).as_scalar().to_bits(),
+                bits(x),
+                bits(w),
+                bits(b),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -328,6 +328,24 @@ impl MetricsSnapshot {
     }
 }
 
+/// The instrument named `name` in `map`, made by `make` on first use.
+/// Looking up an existing name allocates nothing, so hot loops may call
+/// it per item.
+fn instrument<T>(
+    map: &Mutex<HashMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock().expect("metrics registry poisoned");
+    if let Some(existing) = map.get(name) {
+        return Arc::clone(existing);
+    }
+    Arc::clone(
+        map.entry(name.to_string())
+            .or_insert_with(|| Arc::new(make())),
+    )
+}
+
 /// The thread-safe instrument registry.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -344,14 +362,12 @@ impl Registry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("counter registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
+        instrument(&self.counters, name, Counter::default)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("gauge registry poisoned");
-        map.entry(name.to_string()).or_default().clone()
+        instrument(&self.gauges, name, Gauge::default)
     }
 
     /// The histogram named `name`, created with [`DEFAULT_BUCKETS`] on
@@ -363,10 +379,7 @@ impl Registry {
     /// The histogram named `name`, created with `bounds` on first use
     /// (an existing histogram keeps its original buckets).
     pub fn histogram_with(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("histogram registry poisoned");
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::with_buckets(bounds)))
-            .clone()
+        instrument(&self.histograms, name, || Histogram::with_buckets(bounds))
     }
 
     /// Snapshot of all instruments. Untouched instruments (zero counters,

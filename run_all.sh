@@ -1,6 +1,6 @@
 #!/bin/bash
 set -u
-cd /root/repo
+cd "$(dirname "$0")"
 for b in table1_datasets example2_noise_vs_gain fig5_overall table2_ablation fig6_threshold_m fig7_subgraph_n fig8_indicator fig9_gnn_models fig13_theta fig15_indicator_eps table3_time ablation_design; do
   echo "=== START $b $(date +%T) ==="
   cargo run --release --quiet -p privim-bench --bin $b -- --repeats 3 --json results/$b.json --telemetry-out results/$b.jsonl > results/$b.txt 2> results/$b.log
