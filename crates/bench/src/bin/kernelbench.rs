@@ -1,11 +1,11 @@
 //! Deterministic micro-benchmarks for the instrumented hot kernels.
 //!
 //! Runs every kernel the profiler attributes roofline counters to —
-//! tape matmul, SpMM, the fused attention head, gather/scatter, segment
-//! softmax (forward and backward via the tape), DP-SGD clip+accumulate,
-//! a `no_grad` GRAT forward and Monte Carlo spread — on seeded synthetic
-//! workloads at two sizes, and emits the standard `{seed, rows,
-//! telemetry}` envelope.
+//! tape matmul (square, and the DP-SGD `linear` chain), SpMM, the fused
+//! attention head, gather/scatter, segment softmax (forward and backward
+//! via the tape), DP-SGD clip+accumulate, a `no_grad` GRAT forward and
+//! Monte Carlo spread — on seeded synthetic workloads at two sizes, and
+//! emits the standard `{seed, rows, telemetry}` envelope.
 //!
 //! Two modes:
 //!
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use privim_bench::print_table;
 use privim_graph::GraphBuilder;
 use privim_im::{influence_spread, DiffusionConfig};
-use privim_nn::prelude::{build_model, GradVec, GraphTensors, Matrix, ModelKind, Tape};
+use privim_nn::prelude::{build_model, GradVec, GraphTensors, Matrix, ModelKind, Tape, Var};
 use privim_obs::fault::splitmix64;
 use privim_obs::json::{self, JsonValue, ToJson};
 use privim_obs::Scope;
@@ -182,6 +182,36 @@ fn bench_matmul(s: &mut Stream, dims: Dims) -> f64 {
     out_sum + grads.take(va, (n, n)).sum() + grads.take(vb, (n, n)).sum()
 }
 
+/// The DP-SGD shape: one 40-node subgraph through an `8 → d → d → 1`
+/// chain of `Tape::matmul`s with ReLUs between, forward and backward
+/// (`d` = 32 is the models' hidden width).
+fn bench_linear(s: &mut Stream, dims: Dims) -> f64 {
+    const NODES: usize = 40;
+    let d = dims.d;
+    let x = s.matrix(NODES, 8);
+    let shapes = [(8, d), (d, d), (d, 1)];
+    let mut tape = Tape::new();
+    let mut h = tape.leaf(x);
+    let ws: Vec<Var> = shapes
+        .iter()
+        .map(|&(r, c)| tape.leaf(s.matrix(r, c)))
+        .collect();
+    for (i, &w) in ws.iter().enumerate() {
+        h = tape.matmul(h, w);
+        if i + 1 < ws.len() {
+            h = tape.relu(h);
+        }
+    }
+    let loss = tape.sum(h);
+    let out_sum = tape.value(h).sum();
+    let mut grads = tape.backward(loss);
+    out_sum
+        + ws.iter()
+            .zip(shapes)
+            .map(|(&w, shape)| grads.take(w, shape).sum())
+            .sum::<f64>()
+}
+
 fn bench_spmm(s: &mut Stream, dims: Dims) -> f64 {
     let Dims { n, e, d } = dims;
     let h = s.matrix(n, d);
@@ -324,8 +354,9 @@ fn bench_mc_spread(s: &mut Stream, dims: Dims) -> f64 {
     counting_allocs(|| influence_spread(&g, &seeds, &config, trials, &mut rng)).0
 }
 
-const KERNELS: [(&str, KernelFn); 9] = [
+const KERNELS: [(&str, KernelFn); 10] = [
     ("matmul", bench_matmul),
+    ("linear", bench_linear),
     ("spmm", bench_spmm),
     ("attention", bench_attention),
     ("gather", bench_gather),

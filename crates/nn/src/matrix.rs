@@ -1,9 +1,13 @@
 //! Dense row-major `f64` matrices.
 //!
-//! PrivIM subgraphs are small (n ≤ ~100 nodes, hidden size 32), so a simple
-//! cache-friendly dense kernel is both sufficient and fast; the sparse
-//! message-passing structure is handled by the dedicated graph ops in
-//! [`crate::graph_ops`], not by dense adjacency matrices.
+//! The three products (`matmul`, `matmul_nt`, `matmul_tn`) share one
+//! register-blocked microkernel: a 4×8 block of accumulators over a
+//! packed 8-column panel of B, compiled once portable and once for AVX2.
+//! Every output sums its terms in ascending k from the same start value
+//! as the plain loops it replaced, so results are bit-identical to them
+//! (DESIGN §13). The sparse message-passing structure is handled by the
+//! dedicated graph ops in [`crate::graph_ops`], not by dense adjacency
+//! matrices.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -21,22 +25,18 @@ pub struct Matrix {
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
+        Matrix::filled(rows, cols, 0.0)
+    }
+
+    /// A `rows × cols` matrix filled with `value`.
+    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
         // Written, not allocated zeroed: the kernels add into their
         // output (`o += …`), and a fresh page from the OS that is read
         // before it is written faults twice, once to map the shared zero
         // page and once more to copy it on the write.
         let mut data = Vec::with_capacity(rows * cols);
-        data.resize(rows * cols, 0.0);
+        data.resize(rows * cols, value);
         Matrix { rows, cols, data }
-    }
-
-    /// A `rows × cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
     }
 
     /// Builds a matrix from a row-major data vector.
@@ -117,78 +117,68 @@ impl Matrix {
 
     /// Matrix product `self × rhs`. From [`par::WORK_FLOOR`] on, the
     /// output rows split across [`par::threads`] workers; each row is
-    /// computed as the serial loop computes it.
+    /// computed as the serial kernel computes it.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_on(Isa::detect(), rhs)
+    }
+
+    fn matmul_on(&self, isa: Isa, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul dims {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let n = rhs.cols;
-        let mut out = Matrix::zeros(self.rows, n);
-        // Rows `first..` of the product into `out`, in i-k-j loop order:
-        // the inner loop streams rows of `rhs` and `out`.
-        let rows_from = |first: usize, out: &mut [f64]| {
-            for (i, out_row) in (first..).zip(out.chunks_exact_mut(n)) {
-                for (k, &a) in self.row(i).iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = &rhs.data[k * n..(k + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
+        let gemm = Gemm {
+            a: &self.data,
+            a_row: self.cols,
+            a_k: 1,
+            b: &rhs.data,
+            b_k: rhs.cols,
+            b_col: 1,
+            depth: self.cols,
+            skip_zero: !rhs.is_finite(),
         };
-        let above_floor = self.rows * self.cols * n >= par::WORK_FLOOR;
-        let parts = if above_floor { par::threads() } else { 1 };
-        if parts > 1 {
-            let bounds = par::row_bounds(self.rows, parts, |r| r);
-            let cuts: Vec<usize> = bounds.iter().map(|&r| r * n).collect();
-            let chunks = bounds
-                .iter()
-                .copied()
-                .zip(par::split_at_bounds(&mut out.data, &cuts));
-            par::fan_out(chunks.collect(), |(first, chunk)| rows_from(first, chunk));
-        } else if n > 0 {
-            rows_from(0, &mut out.data);
-        }
-        out
+        gemm.product(isa, self.rows, rhs.cols, 0.0, true)
     }
 
     /// `self × rhsᵀ` without materializing the transpose.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_nt_on(Isa::detect(), rhs)
+    }
+
+    fn matmul_nt_on(&self, isa: Isa, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.cols, "matmul_nt dims");
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                out[(i, j)] = a_row.iter().zip(b_row).map(|(&a, &b)| a * b).sum();
-            }
-        }
-        out
+        let gemm = Gemm {
+            a: &self.data,
+            a_row: self.cols,
+            a_k: 1,
+            b: &rhs.data,
+            b_k: 1,
+            b_col: rhs.cols,
+            depth: self.cols,
+            skip_zero: false,
+        };
+        gemm.product(isa, self.rows, rhs.rows, SUM_START, false)
     }
 
     /// `selfᵀ × rhs` without materializing the transpose.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_tn_on(Isa::detect(), rhs)
+    }
+
+    fn matmul_tn_on(&self, isa: Isa, rhs: &Matrix) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "matmul_tn dims");
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = rhs.row(k);
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
+        let gemm = Gemm {
+            a: &self.data,
+            a_row: 1,
+            a_k: self.cols,
+            b: &rhs.data,
+            b_k: rhs.cols,
+            b_col: 1,
+            depth: self.rows,
+            skip_zero: !rhs.is_finite(),
+        };
+        gemm.product(isa, self.cols, rhs.cols, 0.0, false)
     }
 
     /// The transpose.
@@ -273,6 +263,232 @@ impl Matrix {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The matmul microkernel
+// ---------------------------------------------------------------------------
+
+/// Rows of the product one microkernel call holds.
+const MR: usize = 4;
+/// Columns of the product one microkernel call holds: `MR × NR` = 32
+/// accumulators, eight 256-bit registers.
+const NR: usize = 8;
+/// Depth of one packed panel of B: `KC × NR` values, 4 KiB on the stack.
+const KC: usize = 64;
+/// Rows of A that share one packed panel of B.
+const MC: usize = 64;
+
+/// The start of `Iterator::<f64>::sum`, which `matmul_nt`'s outputs
+/// start from (the unit tests pin the two equal by bits).
+const SUM_START: f64 = -0.0;
+
+/// The compiled variant of the microkernel a product runs on.
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    Portable,
+    /// Only built after `is_x86_feature_detected!("avx2")` returned true.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Isa {
+    /// The fastest variant this CPU runs. std caches the CPUID probe, so
+    /// this is one atomic load per call.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Isa::Avx2;
+        }
+        Isa::Portable
+    }
+}
+
+/// One product `Σ_k A(i, k)·B(k, j)`, with A and B read through strides,
+/// so one body covers `A·B`, `A·Bᵀ` and `Aᵀ·B` without a transpose copy.
+struct Gemm<'a> {
+    a: &'a [f64],
+    /// `A(i, k) = a[i * a_row + k * a_k]`.
+    a_row: usize,
+    a_k: usize,
+    b: &'a [f64],
+    /// `B(k, j) = b[k * b_k + j * b_col]`.
+    b_k: usize,
+    b_col: usize,
+    depth: usize,
+    /// Skip the terms whose A factor is `== 0.0`, as the loops of
+    /// `matmul` and `matmul_tn` always did. It changes bits only where B
+    /// holds an infinity or NaN (`0·∞` is NaN), so only then is it taken.
+    skip_zero: bool,
+}
+
+impl Gemm<'_> {
+    /// The `m × n` product, every output starting from `start`. With
+    /// `split`, from [`par::WORK_FLOOR`] on, the output rows split across
+    /// [`par::threads`] workers; each row is computed as one worker
+    /// computes it.
+    fn product(&self, isa: Isa, m: usize, n: usize, start: f64, split: bool) -> Matrix {
+        let mut out = Matrix::filled(m, n, start);
+        let parts = if split && m * self.depth * n >= par::WORK_FLOOR {
+            par::threads()
+        } else {
+            1
+        };
+        if parts > 1 {
+            let bounds = par::row_bounds(m, parts, |r| r);
+            let cuts: Vec<usize> = bounds.iter().map(|&r| r * n).collect();
+            let chunks = bounds
+                .iter()
+                .copied()
+                .zip(par::split_at_bounds(&mut out.data, &cuts));
+            par::fan_out(chunks.collect(), |(first, chunk)| {
+                self.rows(isa, first, chunk, n)
+            });
+        } else {
+            self.rows(isa, 0, &mut out.data, n);
+        }
+        out
+    }
+
+    /// Rows `first..` of the product, each `n` wide, into `out`.
+    fn rows(&self, isa: Isa, first: usize, out: &mut [f64], n: usize) {
+        match isa {
+            Isa::Portable => gemm_portable(self, first, out, n),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::Avx2` exists only once `Isa::detect` (or the
+            // tests, the same way) saw `is_x86_feature_detected!("avx2")`
+            // return true, so this CPU executes the AVX2 instructions the
+            // variant was compiled with.
+            Isa::Avx2 => unsafe { gemm_avx2(self, first, out, n) },
+        }
+    }
+}
+
+fn gemm_portable(g: &Gemm, first: usize, out: &mut [f64], n: usize) {
+    gemm_body(g, first, out, n)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(g: &Gemm, first: usize, out: &mut [f64], n: usize) {
+    gemm_body(g, first, out, n)
+}
+
+/// The one kernel body both variants compile.
+#[inline(always)]
+fn gemm_body(g: &Gemm, first: usize, out: &mut [f64], n: usize) {
+    if g.skip_zero {
+        gemm_blocks::<true>(g, first, out, n)
+    } else {
+        gemm_blocks::<false>(g, first, out, n)
+    }
+}
+
+/// Walks the output in `MC`-row chunks, 8-column panels and `KC`-deep
+/// slices of k, in that nesting; each `MR × NR` block loads its partial
+/// sums, adds one k slice and stores them back. A stored and reloaded
+/// `f64` is exact, so every output still sees its terms once each, in
+/// ascending k.
+#[inline(always)]
+fn gemm_blocks<const SKIP: bool>(g: &Gemm, first: usize, out: &mut [f64], n: usize) {
+    if n == 0 {
+        return;
+    }
+    let m = out.len() / n;
+    let mut panel = [0.0; KC * NR];
+    let mut tile = [0.0; MR * NR];
+    for i0 in (0..m).step_by(MC) {
+        let i_end = m.min(i0 + MC);
+        for j0 in (0..n).step_by(NR) {
+            let w = NR.min(n - j0);
+            for k0 in (0..g.depth).step_by(KC) {
+                let kc = KC.min(g.depth - k0);
+                // A full panel of a row-major B is read in place; any other
+                // is packed, with lanes past the last column left zero.
+                let (b, b_stride) = if g.b_col == 1 && w == NR {
+                    (&g.b[k0 * g.b_k + j0..], g.b_k)
+                } else {
+                    for (k, lanes) in (k0..k0 + kc).zip(panel.chunks_exact_mut(NR)) {
+                        let row = &g.b[k * g.b_k + j0 * g.b_col..];
+                        for (l, x) in lanes.iter_mut().enumerate() {
+                            *x = if l < w { row[l * g.b_col] } else { 0.0 };
+                        }
+                    }
+                    (&panel[..], NR)
+                };
+                for r0 in (i0..i_end).step_by(MR) {
+                    let rows = MR.min(m - r0);
+                    // Rows past the end repeat the last row of A.
+                    let a_at: [usize; MR] = std::array::from_fn(|r| {
+                        (first + (r0 + r).min(m - 1)) * g.a_row + k0 * g.a_k
+                    });
+                    // A block cut by the edge of the output runs in `tile`;
+                    // its lanes and rows past the edge are never stored.
+                    let at = r0 * n + j0;
+                    let full = rows == MR && w == NR;
+                    if !full {
+                        for r in 0..rows {
+                            tile[r * NR..][..w].copy_from_slice(&out[at + r * n..][..w]);
+                        }
+                    }
+                    let (sums, stride, sums_at) = if full {
+                        (&mut *out, n, at)
+                    } else {
+                        (&mut tile[..], NR, 0)
+                    };
+                    block::<SKIP>(sums, stride, sums_at, g.a, a_at, g.a_k, b, b_stride, kc);
+                    if !full {
+                        for r in 0..rows {
+                            out[at + r * n..][..w].copy_from_slice(&tile[r * NR..][..w]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adds `A(r, k)·B(k, l)` for `k` in `0..kc`, ascending, to the `MR × NR`
+/// sums at `sums[at + r * stride + l]`, with `B(k, ·)` the 8 lanes at
+/// `b[k * b_stride..]`: a multiply then an add per term, never a fused
+/// multiply-add, so each lane rounds exactly as the scalar loop does.
+/// The sums move in and out as whole rows, which keeps them in vector
+/// registers.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn block<const SKIP: bool>(
+    sums: &mut [f64],
+    stride: usize,
+    at: usize,
+    a: &[f64],
+    a_at: [usize; MR],
+    a_k: usize,
+    b: &[f64],
+    b_stride: usize,
+    kc: usize,
+) {
+    let mut acc: [[f64; NR]; MR] = std::array::from_fn(|r| {
+        sums[at + r * stride..][..NR]
+            .try_into()
+            .expect("a slice of NR lanes")
+    });
+    for k in 0..kc {
+        let lanes: &[f64; NR] = b[k * b_stride..][..NR]
+            .try_into()
+            .expect("a slice of NR lanes");
+        for (row, &a_row) in acc.iter_mut().zip(&a_at) {
+            let x = a[a_row + k * a_k];
+            if SKIP && x == 0.0 {
+                continue;
+            }
+            for (o, &y) in row.iter_mut().zip(lanes) {
+                *o += x * y;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        sums[at + r * stride..][..NR].copy_from_slice(row);
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
@@ -318,7 +534,133 @@ pub fn xavier_uniform<R: rand::Rng + ?Sized>(rows: usize, cols: usize, rng: &mut
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The plain loops the microkernel replaced, kept as its oracle.
+    fn oracle_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    fn oracle_nt(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            for j in 0..b.rows {
+                out[(i, j)] = a.row(i).iter().zip(b.row(j)).map(|(&x, &y)| x * y).sum();
+            }
+        }
+        out
+    }
+
+    fn oracle_tn(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for k in 0..a.rows {
+            for (i, &x) in a.row(k).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// Every variant this CPU runs, each called directly.
+    fn all_isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            isas.push(Isa::Avx2);
+        }
+        isas
+    }
+
+    /// Bits of every entry; a NaN compares as one canonical NaN, since
+    /// Rust leaves the payload of an arithmetic NaN unspecified.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        let canon = |x: f64| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        };
+        m.data().iter().map(|&x| canon(x)).collect()
+    }
+
+    /// A zero-heavy matrix with both signed zeros; with `specials`, also
+    /// infinities and NaN.
+    fn arb(s: &mut StdRng, rows: usize, cols: usize, specials: bool) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match s.gen_range(0..10u32) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            3 if specials => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][s.gen_range(0..3usize)],
+            _ => s.gen_range(-2.0..2.0),
+        })
+    }
+
+    #[test]
+    fn iterator_sum_starts_at_negative_zero() {
+        let start: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(start.to_bits(), SUM_START.to_bits());
+    }
+
+    #[test]
+    fn microkernel_is_bit_identical_to_the_loops() {
+        const DIMS: [usize; 10] = [0, 1, 3, 4, 5, 7, 8, 9, 33, 40];
+        let mut s = StdRng::seed_from_u64(7);
+        for isa in all_isas() {
+            for m in DIMS {
+                for k in DIMS {
+                    for n in DIMS {
+                        for specials in [false, true] {
+                            let a = arb(&mut s, m, k, false);
+                            let b = arb(&mut s, k, n, specials);
+                            let bt = arb(&mut s, n, k, specials);
+                            let at = arb(&mut s, k, m, false);
+                            let case = format!("{isa:?} m={m} k={k} n={n} specials={specials}");
+                            let got = a.matmul_on(isa, &b);
+                            assert_eq!(bits(&got), bits(&oracle_matmul(&a, &b)), "matmul {case}");
+                            let got = a.matmul_nt_on(isa, &bt);
+                            assert_eq!(bits(&got), bits(&oracle_nt(&a, &bt)), "nt {case}");
+                            let got = at.matmul_tn_on(isa, &b);
+                            assert_eq!(bits(&got), bits(&oracle_tn(&at, &b)), "tn {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn microkernel_is_bit_identical_above_the_floor_at_any_thread_count() {
+        let mut s = StdRng::seed_from_u64(8);
+        let (m, k, n) = (301, 300, 29);
+        assert!(m * k * n >= par::WORK_FLOOR);
+        for specials in [false, true] {
+            let a = arb(&mut s, m, k, false);
+            let b = arb(&mut s, k, n, specials);
+            let want = bits(&oracle_matmul(&a, &b));
+            for isa in all_isas() {
+                for threads in 1..=3 {
+                    let got = par::with_threads(threads, || a.matmul_on(isa, &b));
+                    assert_eq!(bits(&got), want, "{isa:?} at {threads} threads");
+                }
+            }
+        }
+    }
 
     #[test]
     fn matmul_matches_hand_computation() {
